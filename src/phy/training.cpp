@@ -1,6 +1,7 @@
 #include "phy/training.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "kernels/kernels.h"
@@ -92,40 +93,44 @@ void refresh_schedules(const PhyParams& params, const FrameLayout& layout,
   ws.schedule_valid = true;
 }
 
-}  // namespace
+/// Bitwise equality: a cached factor is reused only when a rebuild would
+/// produce the very same bits (-0.0 != 0.0, and a NaN matches itself).
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
-void OnlineTrainer::train_into(const PhyParams& params, const OfflineModel& model,
-                               const FrameLayout& layout, const sig::IqWaveform& corrected_rx,
-                               std::size_t frame_start, PulseBank& bank, TrainingWorkspace& ws,
-                               double ridge) {
-  RT_TRACE_SPAN("train");
-  RT_OBS_COUNT(kTrainingSolves, 1);
-  RT_ENSURE(ridge >= 0.0, "ridge weight cannot be negative");
-  const int l = params.dsm_order;
-  const int modules = params.use_q_channel ? 2 * l : l;
+bool factor_matches(const PhyParams& params, const OfflineModel& model,
+                    const FrameLayout& layout, double ridge, const TrainingWorkspace& ws) {
+  const auto& cached = ws.factor_model;
+  // The ridge is checked non-negative and both signed zeros skip the
+  // ridge rows, so plain equality is exact for it.
+  return ws.factor_valid && ws.factor_params == params && ws.factor_layout == layout &&
+         ws.factor_ridge == ridge &&
+         cached.bases.rows() == model.bases.rows() && cached.bases.cols() == model.bases.cols() &&
+         same_bits(cached.bases.data(), model.bases.data()) &&
+         same_bits(cached.sigma, model.sigma);
+}
+
+/// Builds the training design (`n` field rows plus the ridge rows) and
+/// factors it into ws.ls. None of it depends on the received samples, so
+/// train_into() runs this only when the cache key changed.
+void factor_training_design(const PhyParams& params, const OfflineModel& model,
+                            const FrameLayout& layout, double ridge, std::size_t n,
+                            std::size_t unknowns, TrainingWorkspace& ws) {
+  ws.factor_valid = false;  // stays false if the QR below throws
   const int s_rank = model.rank();
   const std::size_t pulse_len = params.samples_per_symbol();
-  RT_ENSURE(model.domain() == static_cast<std::size_t>(params.fingerprint_entries()) * pulse_len,
-            "offline model domain does not match the PHY parameters");
-
   const std::size_t t_samps = params.samples_per_slot();
-  const int region_slots = layout.training_slots() + layout.guard_slots;
-  const std::size_t n = static_cast<std::size_t>(region_slots) * t_samps;
-  const std::size_t region_start =
-      frame_start + static_cast<std::size_t>(layout.training_begin()) * t_samps;
-  RT_ENSURE(region_start + n <= corrected_rx.size(),
-            "received waveform too short for the training field");
-
-  const std::size_t unknowns = static_cast<std::size_t>(modules) * static_cast<std::size_t>(s_rank);
   // Ridge regularization: stack sqrt(lambda) I under the design matrix so
   // the QR solve minimizes ||A g - b||^2 + lambda ||g||^2.
   //
   // The design is built column-major (column u at a_cm[u*rows ..]) with a
-  // per-call transpose of the offline bases, so every accumulation below
-  // runs over contiguous spans through the kernel layer. The additions per
-  // element are unchanged in value and order, and qr_decompose_cm_into
-  // feeds MGS the same column-major copy qr_decompose_into would build --
-  // the solve is bit-identical to the old row-major path.
+  // transpose of the offline bases, so every accumulation below runs over
+  // contiguous spans through the kernel layer. The additions per element
+  // are unchanged in value and order, and qr_decompose_cm_into feeds MGS
+  // the same column-major copy qr_decompose_into would build -- the
+  // factor is bit-identical to the old row-major path.
   const std::size_t rows = n + unknowns;
   ws.a_cm.assign(rows * unknowns, 0.0);
   const std::size_t domain = model.domain();
@@ -135,17 +140,7 @@ void OnlineTrainer::train_into(const PhyParams& params, const OfflineModel& mode
     for (std::size_t idx = 0; idx < domain; ++idx)
       dst[idx] = model.bases(idx, static_cast<std::size_t>(s));
   }
-  ws.b_re.assign(n + unknowns, 0.0);
-  ws.b_im.assign(n + unknowns, 0.0);
-  auto& b_re = ws.b_re;
-  auto& b_im = ws.b_im;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto v = corrected_rx[region_start + i];
-    b_re[i] = v.real();
-    b_im[i] = v.imag();
-  }
 
-  refresh_schedules(params, layout, ws);
   for (const auto& tf : ws.schedule) {
     const std::size_t off =
         static_cast<std::size_t>(tf.slot - layout.training_begin()) * t_samps;
@@ -176,13 +171,58 @@ void OnlineTrainer::train_into(const PhyParams& params, const OfflineModel& mode
     }
   }
 
-  // A is real; solve the complex fit as two real least-squares problems
-  // off one QR decomposition.
-  RT_OBS_COUNT(kLsSolves, 2);
   linalg::qr_decompose_cm_into(std::span<const double>(ws.a_cm), rows, unknowns, ws.ls);
-  const auto re_sol = linalg::solve_after_qr(std::span<const double>(b_re), ws.ls);
+  ws.factor_params = params;
+  ws.factor_layout = layout;
+  ws.factor_ridge = ridge;
+  ws.factor_model = model;
+  ws.factor_valid = true;
+}
+
+}  // namespace
+
+void OnlineTrainer::train_into(const PhyParams& params, const OfflineModel& model,
+                               const FrameLayout& layout, const sig::IqWaveform& corrected_rx,
+                               std::size_t frame_start, PulseBank& bank, TrainingWorkspace& ws,
+                               double ridge) {
+  RT_TRACE_SPAN("train");
+  RT_OBS_COUNT(kTrainingSolves, 1);
+  RT_ENSURE(ridge >= 0.0, "ridge weight cannot be negative");
+  const int l = params.dsm_order;
+  const int modules = params.use_q_channel ? 2 * l : l;
+  const int s_rank = model.rank();
+  const std::size_t pulse_len = params.samples_per_symbol();
+  RT_ENSURE(model.domain() == static_cast<std::size_t>(params.fingerprint_entries()) * pulse_len,
+            "offline model domain does not match the PHY parameters");
+
+  const std::size_t t_samps = params.samples_per_slot();
+  const int region_slots = layout.training_slots() + layout.guard_slots;
+  const std::size_t n = static_cast<std::size_t>(region_slots) * t_samps;
+  const std::size_t region_start =
+      frame_start + static_cast<std::size_t>(layout.training_begin()) * t_samps;
+  RT_ENSURE(region_start + n <= corrected_rx.size(),
+            "received waveform too short for the training field");
+
+  const std::size_t unknowns = static_cast<std::size_t>(modules) * static_cast<std::size_t>(s_rank);
+  refresh_schedules(params, layout, ws);
+  if (!factor_matches(params, model, layout, ridge, ws))
+    factor_training_design(params, model, layout, ridge, n, unknowns, ws);
+
+  // Per packet: the rhs is the received training field over zeroed ridge
+  // rows. A is real; solve the complex fit as two real least-squares
+  // problems off the one cached QR.
+  const std::size_t rows = n + unknowns;
+  ws.b_re.assign(rows, 0.0);
+  ws.b_im.assign(rows, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto v = corrected_rx[region_start + i];
+    ws.b_re[i] = v.real();
+    ws.b_im[i] = v.imag();
+  }
+  RT_OBS_COUNT(kLsSolves, 2);
+  const auto re_sol = linalg::solve_after_qr(std::span<const double>(ws.b_re), ws.ls);
   ws.g_re.assign(re_sol.begin(), re_sol.end());
-  const auto im_sol = linalg::solve_after_qr(std::span<const double>(b_im), ws.ls);
+  const auto im_sol = linalg::solve_after_qr(std::span<const double>(ws.b_im), ws.ls);
   ws.g_im.assign(im_sol.begin(), im_sol.end());
   const auto& g_re = ws.g_re;
   const auto& g_im = ws.g_im;
@@ -192,6 +232,7 @@ void OnlineTrainer::train_into(const PhyParams& params, const OfflineModel& mode
   // resize() zero-fills every template, so key 0 (the identically-zero
   // template) needs no write and the others accumulate from zero exactly
   // as the fresh-vector path did.
+  const std::size_t domain = model.domain();
   bank.resize(modules, params.fingerprint_entries(), pulse_len);
   for (int m = 0; m < modules; ++m) {
     for (int key = 1; key < params.fingerprint_entries(); ++key) {
@@ -278,7 +319,7 @@ void OnlineTrainer::calibrate_pixel_gains_into(const PhyParams& params,
   }
 
   try {
-    const auto gains = linalg::solve_least_squares_into(a, std::span<const double>(b), ws.ls);
+    const auto gains = linalg::solve_least_squares_into(a, std::span<const double>(b), ws.pixel_ls);
     RT_DCHECK_FINITE(gains);
     ws.pixel_gains.resize(gains.size());
     for (std::size_t i = 0; i < gains.size(); ++i) ws.pixel_gains[i] = Complex(gains[i], 0.0);

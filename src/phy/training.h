@@ -54,10 +54,18 @@ class OfflineTrainer {
                                                      std::span<const PulseBank> banks, int rank);
 };
 
-/// Reusable scratch for the per-packet online training solve. The
-/// training/pixel schedules are pure functions of (PhyParams, FrameLayout)
-/// and are cached until those change; every other buffer is fully
-/// overwritten per packet.
+/// Reusable scratch for the per-packet online training solve.
+///
+/// Only the right-hand side depends on the received samples, so the rest
+/// is cached and rebuilt when its inputs change:
+/// - the training/pixel schedules, keyed on (PhyParams, FrameLayout);
+/// - the training factorization -- the bases transpose `bases_cm`, the
+///   design `a_cm` with its ridge rows, and its QR in `ls` -- keyed on
+///   (PhyParams, FrameLayout, ridge, OfflineModel). The model is held by
+///   value in `factor_model` and compared bit for bit, so a copied,
+///   mutated or reallocated model never reuses a stale factor.
+/// The rhs, the solved coefficients and the pixel-calibration buffers
+/// (with their own `pixel_ls`) are fully overwritten per packet.
 struct TrainingWorkspace {
   std::vector<TrainingFiring> schedule;
   std::vector<PixelTrainingCycle> pixel_schedule;
@@ -65,15 +73,22 @@ struct TrainingWorkspace {
   PhyParams schedule_params;
   FrameLayout schedule_layout;
 
+  bool factor_valid = false;
+  PhyParams factor_params;
+  FrameLayout factor_layout;
+  double factor_ridge = 0.0;
+  OfflineModel factor_model;          ///< model the cached factor was built from
   std::vector<double> a_cm;           ///< (n + unknowns) x unknowns design, column-major
   std::vector<double> bases_cm;       ///< rank x domain transpose of OfflineModel::bases
+  linalg::LsWorkspace<double> ls;     ///< QR of a_cm (cached) and its solve scratch
+
   std::vector<double> b_re;           ///< real part of the rhs
   std::vector<double> b_im;           ///< imaginary part of the rhs
-  linalg::LsWorkspace<double> ls;     ///< QR solve scratch
   std::vector<double> g_re;           ///< solved coefficients (real)
   std::vector<double> g_im;           ///< solved coefficients (imag)
   linalg::RealMatrix pixel_a;         ///< pixel-calibration design
   std::vector<double> pixel_b;        ///< pixel-calibration rhs
+  linalg::LsWorkspace<double> pixel_ls;  ///< pixel-calibration QR solve scratch
   std::vector<Complex> pixel_gains;   ///< solved per-pixel gains
 };
 
@@ -95,7 +110,10 @@ class OnlineTrainer {
                                        std::size_t frame_start, double ridge = 1e-4);
 
   /// Workspace form of train(): resizes and fills `bank` in place,
-  /// reusing the workspace buffers. Bit-identical to train().
+  /// reusing the workspace buffers. The design and its QR are factored
+  /// once per (params, layout, ridge, model); each packet only projects
+  /// its rhs onto the cached Q and back-substitutes. Bit-identical to
+  /// train().
   static void train_into(const PhyParams& params, const OfflineModel& model,
                          const FrameLayout& layout, const sig::IqWaveform& corrected_rx,
                          std::size_t frame_start, PulseBank& bank, TrainingWorkspace& ws,

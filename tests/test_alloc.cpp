@@ -130,6 +130,42 @@ TEST(AllocationRegression, SteadyStatePacketPipelineIsAllocationFree) {
       << " allocations across 3 packets; total bit errors " << errors << ")";
 }
 
+TEST(AllocationRegression, SteadyStatePixelCalibrationPipelineIsAllocationFree) {
+  // 16-PQAM with pixel calibration: a second LS solve per packet, on its
+  // own scratch beside the cached training factor.
+  auto p = fast_params();
+  p.bits_per_axis = 2;
+  p.pixel_calibration = true;
+  auto tag = p.tag_config();
+  tag.heterogeneity = {0.06, 0.0, 0.0};
+  ChannelConfig ch;
+  ch.snr_override_db = 30.0;
+  ch.noise_seed = 7;
+  SimOptions so;
+  so.seed = 42;
+  so.offline_yaws_deg = {0.0};
+  const LinkSimulator sim(p, tag, ch, so);
+
+  PacketWorkspace ws;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const auto out = sim.run_packet(i, 8, ws);
+    ASSERT_TRUE(out.preamble_found) << "packet " << i << " must decode for full-path coverage";
+  }
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  bool all_found = true;
+  for (std::uint64_t i = 0; i < 3; ++i)
+    all_found = sim.run_packet(i, 8, ws).preamble_found && all_found;
+  g_counting.store(false);
+
+  EXPECT_TRUE(all_found);
+  EXPECT_TRUE(ws.demod.trained.has_pixel_gains()) << "the pixel-calibration solve did not run";
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "the steady-state pixel-calibration pipeline allocated on the heap ("
+      << g_allocs.load() << " allocations across 3 packets)";
+}
+
 TEST(AllocationRegression, SteadyStateCodedPacketPipelineIsAllocationFree) {
   // The coded frame path on top of the packet pipeline: whiten -> FEC ->
   // interleave -> TX -> channel -> RX -> deinterleave -> soft/hard decode

@@ -4,11 +4,13 @@
 // paths must behave identically through the workspace entry points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/units.h"
 #include "phy/demodulator.h"
 #include "phy/modulator.h"
+#include "phy/training.h"
 #include "sim/link_sim.h"
 #include "sim/packet_workspace.h"
 
@@ -89,6 +91,126 @@ TEST(PacketPipeline, WorkspaceFollowsChannelSwitches) {
     PacketWorkspace own_b;
     expect_same_outcome(sim_a.run_packet(i, 8, own_a), a_shared);
     expect_same_outcome(sim_b.run_packet(i, 8, own_b), b_shared);
+  }
+}
+
+/// One received training field: the rotation-corrected waveform, where its
+/// frame starts, and the layout it was sent with.
+struct TrainingField {
+  phy::FrameLayout layout;
+  sig::IqWaveform rx;
+  std::size_t start = 0;
+};
+
+TrainingField training_field(const LinkSimulator& sim, std::uint64_t idx, std::size_t bytes) {
+  PacketWorkspace ws;
+  const auto pkt = sim.render_packet_rx(idx, bytes, ws);
+  const auto& pre = sim.demodulator().preamble();
+  const auto det = pre.detect(ws.rx, 0);
+  EXPECT_TRUE(det.found);
+  return {phy::FrameLayout::for_params(sim.params(), pkt.payload_slots), pre.correct(ws.rx, det),
+          det.start_sample};
+}
+
+void expect_same_bank(const phy::PulseBank& want, const phy::PulseBank& got, int bits_per_axis) {
+  ASSERT_EQ(want.modules(), got.modules());
+  ASSERT_EQ(want.entries(), got.entries());
+  ASSERT_EQ(want.pulse_len(), got.pulse_len());
+  for (int m = 0; m < want.modules(); ++m) {
+    for (int key = 0; key < want.entries(); ++key) {
+      const auto a = want.pulse(m, static_cast<unsigned>(key));
+      const auto b = got.pulse(m, static_cast<unsigned>(key));
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "module " << m << " key " << key;
+    }
+  }
+  ASSERT_EQ(want.has_pixel_gains(), got.has_pixel_gains());
+  if (!want.has_pixel_gains()) return;
+  for (int m = 0; m < want.modules(); ++m)
+    for (int w = 0; w < bits_per_axis; ++w)
+      EXPECT_EQ(want.pixel_gain(m, w), got.pixel_gain(m, w)) << "module " << m << " pixel " << w;
+}
+
+lcm::TagConfig heterogeneous_tag(const phy::PhyParams& p, std::uint64_t seed) {
+  auto tag = p.tag_config();
+  tag.heterogeneity = {0.06, 0.04, 0.0};
+  tag.seed = seed;
+  return tag;
+}
+
+TEST(PacketPipeline, TrainingFactorFollowsModelLayoutAndRidgeSwitches) {
+  const auto p = fast_params();
+  const LinkSimulator sim(p, heterogeneous_tag(p, 3), fast_channel(15.0, 5), fast_options());
+  // Two tags with different heterogeneity draws: same dimensions, different
+  // values -- the case a key on dimensions alone would get wrong. The third
+  // model has b's bases under a's sigma, so bases and sigma each change
+  // alone somewhere in the walk.
+  const auto model_a = train_offline_model(p, heterogeneous_tag(p, 3));
+  const auto model_b = train_offline_model(p, heterogeneous_tag(p, 11));
+  ASSERT_EQ(model_a.bases.rows(), model_b.bases.rows());
+  ASSERT_EQ(model_a.bases.cols(), model_b.bases.cols());
+  ASSERT_FALSE(std::ranges::equal(model_a.bases.data(), model_b.bases.data()));
+  auto model_c = model_b;
+  model_c.sigma = model_a.sigma;
+  const phy::OfflineModel* models[] = {&model_a, &model_b, &model_c};
+  // Two payload lengths, plus a longer training field over the same samples
+  // (the layout change that reshapes the design itself).
+  std::vector<TrainingField> fields = {training_field(sim, 0, 8), training_field(sim, 1, 16)};
+  fields.push_back(fields[1]);
+  fields[2].layout.training_rounds += 2;
+  ASSERT_NE(fields[0].layout, fields[1].layout);
+  const double ridges[] = {1e-4, 3e-3};
+
+  // {model, field, ridge}: each step changes one input, so every part of
+  // the cache key must invalidate the factor on its own.
+  const int walk[][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 1}, {0, 1, 1}, {0, 2, 1},
+                         {0, 2, 0}, {2, 2, 0}, {1, 2, 0}, {1, 1, 0}, {1, 1, 1},
+                         {0, 1, 1}, {0, 0, 1}, {0, 0, 0}};
+  phy::TrainingWorkspace shared;
+  phy::PulseBank bank;
+  for (std::size_t step = 0; step < std::size(walk); ++step) {
+    const auto& model = *models[walk[step][0]];
+    const auto& f = fields[static_cast<std::size_t>(walk[step][1])];
+    const double ridge = ridges[walk[step][2]];
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    phy::OnlineTrainer::train_into(p, model, f.layout, f.rx, f.start, bank, shared, ridge);
+    expect_same_bank(phy::OnlineTrainer::train(p, model, f.layout, f.rx, f.start, ridge), bank,
+                     p.bits_per_axis);
+  }
+
+  // The key is the model's value, not its address: mutating one model in
+  // place must rebuild the factor.
+  auto mutated = model_a;
+  const auto& f = fields[0];
+  phy::OnlineTrainer::train_into(p, mutated, f.layout, f.rx, f.start, bank, shared);
+  mutated.bases(mutated.domain() / 2, 0) += 0.25;
+  phy::OnlineTrainer::train_into(p, mutated, f.layout, f.rx, f.start, bank, shared);
+  expect_same_bank(phy::OnlineTrainer::train(p, mutated, f.layout, f.rx, f.start), bank,
+                   p.bits_per_axis);
+  mutated.sigma.back() *= 4.0;
+  phy::OnlineTrainer::train_into(p, mutated, f.layout, f.rx, f.start, bank, shared);
+  expect_same_bank(phy::OnlineTrainer::train(p, mutated, f.layout, f.rx, f.start), bank,
+                   p.bits_per_axis);
+}
+
+TEST(PacketPipeline, PixelCalibrationKeepsTrainingFactorAcrossFrames) {
+  // Pixel calibration runs its own LS solve after the training solve; it
+  // must not clobber the cached training factor.
+  auto p = fast_params();
+  p.bits_per_axis = 2;
+  p.pixel_calibration = true;
+  const auto tag = heterogeneous_tag(p, 99);
+  const LinkSimulator sim(p, tag, fast_channel(30.0, 7), fast_options());
+  const auto& model = sim.demodulator().offline_model();
+  phy::TrainingWorkspace shared;
+  phy::PulseBank bank;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const auto f = training_field(sim, i, 8);
+    ASSERT_GT(f.layout.pixel_rounds, 0);
+    phy::OnlineTrainer::train_into(p, model, f.layout, f.rx, f.start, bank, shared);
+    const auto fresh = phy::OnlineTrainer::train(p, model, f.layout, f.rx, f.start);
+    ASSERT_TRUE(fresh.has_pixel_gains());
+    SCOPED_TRACE(::testing::Message() << "frame " << i);
+    expect_same_bank(fresh, bank, p.bits_per_axis);
   }
 }
 
