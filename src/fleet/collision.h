@@ -97,21 +97,25 @@ struct CollisionStudyResult {
           const auto bits_a = wanted_rng.bits(cfg.payload_bits);
           const auto bits_b = interferer_rng.bits(cfg.payload_bits);
           const phy::Modulator mod(p);
-          const auto pkt_a = mod.modulate(bits_a);
-          const auto pkt_b = mod.modulate(bits_b);
+          phy::ModulatorWorkspace mod_ws;
+          phy::PacketSchedule pkt_a;
+          phy::PacketSchedule pkt_b;
+          mod.modulate_into(bits_a, mod_ws, pkt_a);
+          mod.modulate_into(bits_b, mod_ws, pkt_b);
           sim::ConcurrentTag wanted{p.tag_config(), sim::Pose{}, 1.0, pkt_a.firings};
           sim::ConcurrentTag interferer{p.tag_config(),
                                         sim::Pose{2.0, cfg.interferer_roll_rad, 0.0},
                                         cfg.interferer_gains[i], pkt_b.firings};
           interferer.tag.seed = cfg.interferer_tag_seed;
-          const auto rx = sim::superimpose_tags(p, {wanted, interferer},
-                                                pkt_a.duration_s + p.symbol_duration_s(),
-                                                cfg.snr_db,
-                                                sim::collision_slot_seed(cfg.seed, gid, 2));
+          auto rx = sim::superimpose_tags(p, {wanted, interferer},
+                                          pkt_a.duration_s + p.symbol_duration_s(), cfg.snr_db,
+                                          sim::collision_slot_seed(cfg.seed, gid, 2));
           const phy::Demodulator demod(p, offline);
           phy::DemodOptions opts;
           opts.search_limit = 2 * p.samples_per_slot();
-          const auto res = demod.demodulate(rx, pkt_a.layout.payload_slots, opts);
+          phy::DemodWorkspace demod_ws;
+          phy::DemodResult res;
+          demod.demodulate_into(rx, pkt_a.layout.payload_slots, opts, demod_ws, res);
           sim::LinkStats s;
           s.packets = 1;
           s.total_bits = bits_a.size();

@@ -3,7 +3,7 @@
 // group (45deg), per the paper's PQAM design (section 4.2.2).
 //
 // The array is a time-stepped simulator: the PHY modulator schedules
-// firings (module + drive level + time); synthesize() integrates every LC
+// firings (module + drive level + time); synthesize_into() integrates every LC
 // cell and emits the complex two-PDR baseband waveform the reader would
 // see at unit link gain. Roll misalignment, link gain, noise and frontend
 // effects are applied downstream (sim / frontend layers).
@@ -79,17 +79,13 @@ class TagArray {
   explicit TagArray(const TagConfig& config);
 
   /// Runs the LC simulation over [0, duration_s) with the given firing
-  /// schedule (must be sorted by time) and returns the complex baseband
-  /// waveform at sample rate `fs`. The waveform includes the static bias of
-  /// relaxed pixels (a DC term the receiver regression removes).
-  [[nodiscard]] sig::IqWaveform synthesize(std::span<const Firing> schedule, double fs,
-                                           double duration_s);
-
-  /// Workspace form of synthesize(): writes the waveform into `out`
-  /// (capacity reused) and expands events into `scratch`. Starts from the
-  /// tag's current LC state -- callers reusing one TagArray across packets
-  /// must reset() first (reset() provably restores the as-constructed
-  /// state, so reset+synthesize_into is bit-identical to a fresh tag).
+  /// schedule (must be sorted by time) and writes the complex baseband
+  /// waveform at sample rate `fs` into `out` (capacity reused), expanding
+  /// events into `scratch`. The waveform includes the static bias of
+  /// relaxed pixels (a DC term the receiver regression removes). Starts
+  /// from the tag's current LC state -- callers reusing one TagArray
+  /// across packets must reset() first (reset() provably restores the
+  /// as-constructed state, so reset+synthesize_into matches a fresh tag).
   void synthesize_into(std::span<const Firing> schedule, double fs, double duration_s,
                        SynthScratch& scratch, sig::IqWaveform& out);
 
@@ -146,5 +142,13 @@ class TagArray {
   std::vector<double> module_gain_q_;
   PixelBank bank_;
 };
+
+/// Rotation-free response to `schedule`: the waveform of a fresh tag built
+/// from `config` minus that tag's idle (never-fired) baseline over the same
+/// [0, duration_s). This is the modulated signal alone -- the offline
+/// preamble and sync references, and the signal power that defines SNR.
+[[nodiscard]] std::vector<sig::Complex> rotation_free_response(const TagConfig& config,
+                                                               std::span<const Firing> schedule,
+                                                               double fs, double duration_s);
 
 }  // namespace rt::lcm

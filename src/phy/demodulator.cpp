@@ -65,15 +65,6 @@ std::vector<unsigned> Demodulator::initial_payload_histories(const PhyParams& p,
   return hist;
 }
 
-DemodResult Demodulator::demodulate(const sig::IqWaveform& rx, int payload_slots,
-                                    const DemodOptions& options) const {
-  sig::IqWaveform scratch_rx = rx;
-  DemodWorkspace ws;
-  DemodResult out;
-  demodulate_into(scratch_rx, payload_slots, options, ws, out);
-  return out;
-}
-
 void Demodulator::demodulate_into(sig::IqWaveform& rx, int payload_slots,
                                   const DemodOptions& options, DemodWorkspace& ws,
                                   DemodResult& out) const {
@@ -101,12 +92,11 @@ void Demodulator::demodulate_into(sig::IqWaveform& rx, int payload_slots,
   const std::size_t t_samps = p_.samples_per_slot();
 
   const PulseBank* bank = options.oracle;
-  if (options.online_training) {
+  if (bank == nullptr) {
     OnlineTrainer::train_into(p_, offline_, layout, corrected, frame_start, ws.trained,
                               ws.training);
     bank = &ws.trained;
   }
-  RT_ENSURE(bank != nullptr, "no pulse bank: enable online training or provide an oracle");
 
   const DfeEqualizer eq(p_, *bank);
   if (!ws.histories_valid || !(ws.histories_params == p_) || !(ws.histories_layout == layout)) {
@@ -127,12 +117,12 @@ void Demodulator::demodulate_into(sig::IqWaveform& rx, int payload_slots,
   RT_TRACE_SPAN("unmap");
   out.bits.reserve(static_cast<std::size_t>(payload_slots) * constellation_.bits_per_symbol());
   for (const auto& sym : ws.eq_result.symbols) constellation_.unmap_into(sym, out.bits);
-  if (options.descramble) scrambler_.apply_in_place(out.bits);
+  scrambler_.apply_in_place(out.bits);
   if (options.soft_output) {
     out.soft_bits.assign(ws.eq_result.soft_bits.begin(), ws.eq_result.soft_bits.end());
     // Descrambling XORs keystream-1 positions, which on the soft side is a
     // sign flip; hard bits and LLR signs stay consistent bit for bit.
-    if (options.descramble) scrambler_.apply_sign_in_place(out.soft_bits);
+    scrambler_.apply_sign_in_place(out.soft_bits);
     // Align each LLR's sign with the surviving path's decision. The raw
     // sign is the demapper's per-slot min-distance vote, but the DFE
     // winner decides each bit with the benefit of every later slot's

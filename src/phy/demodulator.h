@@ -15,9 +15,7 @@
 namespace rt::phy {
 
 struct DemodOptions {
-  bool descramble = true;
-  bool online_training = true;  ///< false = use `oracle` (or fail if absent)
-  const PulseBank* oracle = nullptr;  ///< bypasses training when set
+  const PulseBank* oracle = nullptr;  ///< skips online training when set
   std::size_t search_limit = 0;       ///< preamble search bound (0 = whole waveform)
   bool soft_output = false;           ///< also export per-bit LLRs in soft_bits
 };
@@ -51,14 +49,13 @@ class Demodulator {
  public:
   Demodulator(const PhyParams& params, OfflineModel offline_model);
 
-  /// Demodulates one packet of `payload_slots` slots from `rx`.
-  [[nodiscard]] DemodResult demodulate(const sig::IqWaveform& rx, int payload_slots,
-                                       const DemodOptions& options = {}) const;
-
-  /// Workspace form of demodulate(): `rx` is rotation-corrected IN PLACE
-  /// (the caller's waveform buffer doubles as the corrected-signal stage),
-  /// and `out.bits` is rebuilt inside its existing capacity. Bit-identical
-  /// to demodulate() on the same input.
+  /// Demodulates one packet of `payload_slots` slots from `rx`: preamble
+  /// sync, rotation correction, online training (unless
+  /// `options.oracle` supplies the bank), DFE, unmap and descramble.
+  /// `rx` is rotation-corrected IN PLACE (the caller's waveform buffer
+  /// doubles as the corrected-signal stage), and `out` is rebuilt inside
+  /// its existing capacity; a reused workspace gives the same result as
+  /// a fresh one.
   void demodulate_into(sig::IqWaveform& rx, int payload_slots, const DemodOptions& options,
                        DemodWorkspace& ws, DemodResult& out) const;
 

@@ -56,8 +56,7 @@ class MobileModulator {
  public:
   MobileModulator(const PhyParams& params, const MobileConfig& config);
 
-  [[nodiscard]] MobilePacket modulate(std::span<const std::uint8_t> payload_bits,
-                                      bool scramble = true) const;
+  [[nodiscard]] MobilePacket modulate(std::span<const std::uint8_t> payload_bits) const;
 
   /// The deterministic sync firing pattern (known to both ends).
   [[nodiscard]] static std::vector<lcm::Firing> sync_firings(const PhyParams& p, int first_slot,

@@ -52,7 +52,7 @@ class Modulator {
   /// Payload slot count a `payload_bits`-bit payload occupies after
   /// padding to whole firing groups -- the frame-geometry contract a
   /// streaming receiver needs before it has seen any packet. Matches
-  /// modulate()'s layout exactly.
+  /// modulate_into()'s layout exactly.
   [[nodiscard]] int payload_slots_for(std::size_t payload_bits) const {
     const auto bps = static_cast<std::size_t>(bits_per_slot());
     const std::size_t group_bits = static_cast<std::size_t>(p_.dsm_order) * bps;
@@ -61,26 +61,16 @@ class Modulator {
     return groups * p_.period_slots();
   }
 
-  /// Builds a full packet. `payload_bits` is scrambled (DC balance,
-  /// footnote 4), zero-padded to a whole number of slots, and mapped to
-  /// symbols. Set `scramble` false for raw-waveform experiments.
-  [[nodiscard]] PacketSchedule modulate(std::span<const std::uint8_t> payload_bits,
-                                        bool scramble = true) const {
-    ModulatorWorkspace ws;
-    PacketSchedule out;
-    modulate_into(payload_bits, ws, out, scramble);
-    return out;
-  }
-
-  /// Workspace form of modulate(): rebuilds `out` inside its existing
-  /// capacity and reuses the cached frame prefix. Bit-identical to
-  /// modulate().
+  /// Builds a full packet into `out`. `payload_bits` is scrambled (DC
+  /// balance, footnote 4), zero-padded to a whole number of slots, and
+  /// mapped to symbols. `out` is rebuilt inside its existing capacity and
+  /// the payload-independent frame prefix is replayed from `ws`.
   void modulate_into(std::span<const std::uint8_t> payload_bits, ModulatorWorkspace& ws,
-                     PacketSchedule& out, bool scramble = true) const {
+                     PacketSchedule& out) const {
     RT_TRACE_SPAN("modulate");
     auto& bits = ws.bits;
     bits.assign(payload_bits.begin(), payload_bits.end());
-    if (scramble) scrambler_.apply_in_place(bits);
+    scrambler_.apply_in_place(bits);
     const int bps = bits_per_slot();
     // Pad to whole firing groups so the receiver can derive the symbol
     // count from the slot count alone (basic DSM keeps whole periods).
@@ -137,12 +127,6 @@ class Modulator {
                                return a.time_s < b.time_s;
                              }));
     out.duration_s = out.layout.total_slots() * p_.slot_s;
-  }
-
-  /// Descrambles bits recovered by the demodulator (inverse of modulate's
-  /// scrambling; additive scrambler, so the same operation).
-  [[nodiscard]] std::vector<std::uint8_t> descramble(std::span<const std::uint8_t> bits) const {
-    return scrambler_.apply(bits);
   }
 
   [[nodiscard]] const Constellation& constellation() const { return constellation_; }

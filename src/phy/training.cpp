@@ -70,15 +70,6 @@ OfflineModel OfflineTrainer::train_from_banks(const PhyParams& params,
   return model;
 }
 
-PulseBank OnlineTrainer::train(const PhyParams& params, const OfflineModel& model,
-                               const FrameLayout& layout, const sig::IqWaveform& corrected_rx,
-                               std::size_t frame_start, double ridge) {
-  TrainingWorkspace ws;
-  PulseBank bank;
-  train_into(params, model, layout, corrected_rx, frame_start, bank, ws, ridge);
-  return bank;
-}
-
 namespace {
 
 /// Recomputes the cached training / pixel schedules when the geometry
@@ -250,13 +241,6 @@ void OnlineTrainer::train_into(const PhyParams& params, const OfflineModel& mode
 
   if (layout.pixel_rounds > 0)
     calibrate_pixel_gains_into(params, layout, corrected_rx, frame_start, bank, ws);
-}
-
-void OnlineTrainer::calibrate_pixel_gains(const PhyParams& params, const FrameLayout& layout,
-                                          const sig::IqWaveform& corrected_rx,
-                                          std::size_t frame_start, PulseBank& bank) {
-  TrainingWorkspace ws;
-  calibrate_pixel_gains_into(params, layout, corrected_rx, frame_start, bank, ws);
 }
 
 void OnlineTrainer::calibrate_pixel_gains_into(const PhyParams& params,

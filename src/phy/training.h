@@ -95,8 +95,8 @@ struct TrainingWorkspace {
 class OnlineTrainer {
  public:
   /// Fits the per-module complex basis coefficients to the (rotation-
-  /// corrected) received training field and returns the reconstructed
-  /// pulse bank for the equalizer. `corrected_rx` must be aligned so that
+  /// corrected) received training field and rebuilds the pulse bank for
+  /// the equalizer in place. `corrected_rx` must be aligned so that
   /// sample index `frame_start` is frame slot 0.
   ///
   /// `ridge` is the Tikhonov regularization weight (relative to the mean
@@ -104,28 +104,18 @@ class OnlineTrainer {
   /// bases from amplifying noise when the training field barely excites
   /// them -- the "avoid overfitting to preserve noise tolerance" balance
   /// of section 4.3.3.
-  [[nodiscard]] static PulseBank train(const PhyParams& params, const OfflineModel& model,
-                                       const FrameLayout& layout,
-                                       const sig::IqWaveform& corrected_rx,
-                                       std::size_t frame_start, double ridge = 1e-4);
-
-  /// Workspace form of train(): resizes and fills `bank` in place,
-  /// reusing the workspace buffers. The design and its QR are factored
-  /// once per (params, layout, ridge, model); each packet only projects
-  /// its rhs onto the cached Q and back-substitutes. Bit-identical to
-  /// train().
+  ///
+  /// The design and its QR are factored once per (params, layout, ridge,
+  /// model) and cached in `ws`; each packet only projects its rhs onto
+  /// the cached Q and back-substitutes, so a reused workspace returns the
+  /// same bank as a fresh one.
   static void train_into(const PhyParams& params, const OfflineModel& model,
                          const FrameLayout& layout, const sig::IqWaveform& corrected_rx,
                          std::size_t frame_start, PulseBank& bank, TrainingWorkspace& ws,
                          double ridge = 1e-4);
 
   /// Second-stage per-pixel gain estimation from the calibration rounds
-  /// (runs automatically from train() when the frame carries them).
-  static void calibrate_pixel_gains(const PhyParams& params, const FrameLayout& layout,
-                                    const sig::IqWaveform& corrected_rx,
-                                    std::size_t frame_start, PulseBank& bank);
-
-  /// Workspace form of calibrate_pixel_gains().
+  /// (runs automatically from train_into() when the frame carries them).
   static void calibrate_pixel_gains_into(const PhyParams& params, const FrameLayout& layout,
                                          const sig::IqWaveform& corrected_rx,
                                          std::size_t frame_start, PulseBank& bank,

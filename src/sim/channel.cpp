@@ -48,15 +48,12 @@ namespace {
 /// Mean power of (preamble waveform - idle baseline) at unit gain: the
 /// modulated signal power defining SNR for a PHY configuration.
 double reference_power(const phy::PhyParams& params, const lcm::TagConfig& tag_cfg) {
-  lcm::TagArray active(tag_cfg);
-  lcm::TagArray idle(tag_cfg);
-  const auto firings = phy::preamble_firings(params, 0);
   const double duration = (params.preamble_slots + params.dsm_order) * params.slot_s;
-  const auto wa = active.synthesize(firings, params.sample_rate_hz, duration);
-  const auto wi = idle.synthesize({}, params.sample_rate_hz, duration);
+  const auto response = lcm::rotation_free_response(tag_cfg, phy::preamble_firings(params, 0),
+                                                    params.sample_rate_hz, duration);
   double p = 0.0;
-  for (std::size_t i = 0; i < wa.size(); ++i) p += std::norm(wa[i] - wi[i]);
-  return p / static_cast<double>(wa.size());
+  for (const auto& v : response) p += std::norm(v);
+  return p / static_cast<double>(response.size());
 }
 
 }  // namespace

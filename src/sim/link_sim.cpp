@@ -85,7 +85,6 @@ LinkSimulator::PacketOutcome LinkSimulator::transmit_into(
   const auto& pkt = ws.schedule;
 
   phy::DemodOptions dopts;
-  dopts.online_training = opts_.online_training && !opts_.oracle_templates;
   dopts.oracle = opts_.oracle_templates ? &*oracle_ : nullptr;
   dopts.search_limit = static_cast<std::size_t>(opts_.max_pad_slots + 2) *
                        params_.samples_per_slot();
@@ -145,16 +144,6 @@ constexpr std::uint64_t kPadStream = 1;
 constexpr std::uint64_t kNoiseStream = 2;
 
 }  // namespace
-
-LinkSimulator::PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_index,
-                                                       std::size_t payload_bytes) const {
-  PacketWorkspace ws;
-  auto out = run_packet(packet_index, payload_bytes, ws);
-  if (out.preamble_found)
-    out.received_bits.assign(ws.result.bits.begin(),
-                             ws.result.bits.begin() + static_cast<std::ptrdiff_t>(out.bits));
-  return out;
-}
 
 LinkSimulator::PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_index,
                                                        std::size_t payload_bytes,

@@ -19,7 +19,6 @@ namespace rt::sim {
 struct SimOptions {
   int offline_rank = 3;                 ///< S: truncated KL basis count
   std::vector<double> offline_yaws_deg = {0.0, 20.0};  ///< offline-training orientations
-  bool online_training = true;          ///< per-packet training (vs oracle templates)
   bool oracle_templates = false;        ///< perfect channel knowledge (upper bound)
   int max_pad_slots = 2;                ///< random packet start padding
   std::uint64_t seed = 42;
@@ -31,9 +30,9 @@ struct SimOptions {
   /// models a receiver with stale, non-adaptive references -- the
   /// "channel training disabled" ablation of Fig. 16c.
   std::optional<Pose> oracle_pose;
-  /// Export per-bit LLRs from the demapper into PacketOutcome::soft_bits
-  /// (workspace overloads only). Off by default: the raw hot path and its
-  /// perf baselines are unchanged unless a coded experiment asks for LLRs.
+  /// Export per-bit LLRs from the demapper into PacketOutcome::soft_bits.
+  /// Off by default: the raw hot path and its perf baselines are unchanged
+  /// unless a coded experiment asks for LLRs.
   bool export_soft_bits = false;
 };
 
@@ -89,11 +88,12 @@ class LinkSimulator {
     /// always finite; meaningful only when `preamble_found`. This is the
     /// quantity the closed rate-adaptation loop feeds to mac::RateTable.
     double snr_estimate_db = 0.0;
-    std::vector<std::uint8_t> received_bits;  ///< demodulated payload (empty if lost)
+    /// Demodulated payload; filled by send_packet() only (empty if lost).
+    std::vector<std::uint8_t> received_bits;
     /// Per-bit LLRs aligned with the payload (positive = bit 0). Only
-    /// filled by the workspace overloads when SimOptions::export_soft_bits
-    /// is set and the preamble was found; views ws.result.soft_bits, so it
-    /// is invalidated by the next packet on the same workspace.
+    /// filled when SimOptions::export_soft_bits is set and the preamble
+    /// was found; views ws.result.soft_bits, so it is invalidated by the
+    /// next packet on the same workspace.
     std::span<const float> soft_bits;
   };
   [[nodiscard]] PacketOutcome send_packet(std::span<const std::uint8_t> payload_bits);
@@ -102,19 +102,14 @@ class LinkSimulator {
   /// (random payload, random start padding, fresh channel noise) as a pure
   /// function of (options.seed, channel noise_seed, packet_index): the
   /// payload, padding and noise streams are derived with rt::split_seed,
-  /// never from shared engine state. Thread-safe for concurrent calls on
-  /// one simulator, and the outcome is independent of call order -- the
-  /// property the parallel sweep engine (rt::runtime) is built on.
-  [[nodiscard]] PacketOutcome run_packet(std::uint64_t packet_index,
-                                         std::size_t payload_bytes) const;
-
-  /// Workspace form of run_packet(): the entire TX -> channel -> RX
+  /// never from shared engine state. The entire TX -> channel -> RX
   /// pipeline runs through `ws`'s preallocated buffers, so the steady
-  /// state (after one warm-up packet) performs no heap allocations. The
-  /// outcome is bit-identical to run_packet() regardless of the
-  /// workspace's prior contents, EXCEPT that `received_bits` is left empty
-  /// to stay allocation-free -- the demodulated payload remains readable
-  /// in `ws.result.bits`. Workspaces must not be shared across threads.
+  /// state (after one warm-up packet) performs no heap allocations, and
+  /// the outcome is the same whatever the workspace held before. Safe for
+  /// concurrent calls on one simulator (one workspace per thread), so the
+  /// outcome is independent of call order -- the property the parallel
+  /// sweep engine (rt::runtime) is built on. The demodulated payload is
+  /// readable in `ws.result.bits`.
   [[nodiscard]] PacketOutcome run_packet(std::uint64_t packet_index, std::size_t payload_bytes,
                                          PacketWorkspace& ws) const;
 
@@ -160,8 +155,7 @@ class LinkSimulator {
   /// Runs one packet through the workspace pipeline: modulate into
   /// ws.schedule, pad the schedule in place, render through the cached
   /// channel realization into ws.rx, demodulate in place. `noise_rng` may
-  /// be null for a noiseless shot. Does not fill `received_bits` (see
-  /// run_packet workspace overload).
+  /// be null for a noiseless shot. Does not fill `received_bits`.
   [[nodiscard]] PacketOutcome transmit_into(std::span<const std::uint8_t> payload_bits,
                                             Rng& pad_rng, Rng* noise_rng,
                                             PacketWorkspace& ws) const;

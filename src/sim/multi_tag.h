@@ -34,14 +34,17 @@ struct ConcurrentTag {
   sig::IqWaveform sum(params.sample_rate_hz,
                       static_cast<std::size_t>(std::ceil(duration_s * params.sample_rate_hz)));
   double wanted_power = 0.0;
+  lcm::SynthScratch scratch;
   for (std::size_t ti = 0; ti < tags.size(); ++ti) {
     const auto& ct = tags[ti];
     lcm::TagConfig cfg = ct.tag;
     cfg.yaw_rad = ct.pose.yaw_rad;
     lcm::TagArray tag(cfg);
-    auto w = tag.synthesize(ct.firings, params.sample_rate_hz, duration_s);
+    sig::IqWaveform w;
+    tag.synthesize_into(ct.firings, params.sample_rate_hz, duration_s, scratch, w);
     lcm::TagArray idle_tag(cfg);
-    const auto idle = idle_tag.synthesize({}, params.sample_rate_hz, duration_s);
+    sig::IqWaveform idle;
+    idle_tag.synthesize_into({}, params.sample_rate_hz, duration_s, scratch, idle);
     const auto rot = optics::roll_rotation(ct.pose.roll_rad) * ct.relative_gain;
     double p = 0.0;
     for (std::size_t i = 0; i < sum.size() && i < w.size(); ++i) {

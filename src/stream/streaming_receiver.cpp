@@ -18,7 +18,22 @@ std::size_t frame_samples_for(const phy::PhyParams& p, int payload_slots) {
   return static_cast<std::size_t>(layout.total_slots()) * p.samples_per_slot();
 }
 
-std::size_t clamped_stride(const StreamOptions& o) { return std::max<std::size_t>(1, o.scan_stride); }
+/// Detection gate on the phase-bank correlation score. Noise floors at
+/// ~1/sqrt(reference length) (< 0.05 for any supported preamble), a real
+/// preamble peaks near 1; 0.45 leaves margin both ways.
+constexpr double kScanGate = 0.45;
+/// Phase hypotheses in the matched-filter bank (phase_bank.h).
+constexpr int kPhaseHypotheses = 8;
+/// Scan decimation: only every kScanStride-th alignment is scored in
+/// SEARCHING. SYNCED re-resolves the peak at full resolution, so any
+/// stride yields the same decodes; larger strides trade detection latency
+/// for scan throughput.
+constexpr std::size_t kScanStride = 1;
+/// Alignments scored per scan batch (bounds the scratch buffers).
+constexpr std::size_t kScanBlock = 512;
+/// SOF mismatch budget as a fraction of the preamble slots: noise decides
+/// ~half the slots wrong, so a quarter is a comfortable wall.
+constexpr int kSofBudgetDivisor = 4;
 
 }  // namespace
 
@@ -33,21 +48,18 @@ StreamingReceiver::StreamingReceiver(const phy::Demodulator& demod, const Stream
       // The ring must hold the larger of the two waiting states' working
       // sets -- the full decode window, or the peak-resolution span plus
       // one reference -- with the retention slack on top.
-      min_capacity_(std::max(peak_span_ + clamped_stride(options) + ref_len_, window_len_) +
+      min_capacity_(std::max(peak_span_ + kScanStride + ref_len_, window_len_) +
                     kLeadMax + 8),
+      sof_max_bit_errors_(demod.params().preamble_slots / kSofBudgetDivisor),
       ring_(options.ring_capacity != 0 ? options.ring_capacity : min_capacity_),
-      bank_(options.phase_hypotheses),
+      bank_(kPhaseHypotheses),
       sof_(demod.params(), demod.preamble().reference()) {
-  RT_ENSURE(opts_.scan_gate > 0.0 && opts_.scan_gate < 1.0, "scan gate must be in (0, 1)");
-  RT_ENSURE(opts_.scan_stride >= 1, "scan stride must be at least 1");
-  RT_ENSURE(opts_.scan_block >= 1, "scan block must be at least one alignment");
   RT_ENSURE(ring_.capacity() >= min_capacity_,
             "ring capacity below the streaming state machine's working set");
-  if (opts_.sof_max_bit_errors < 0) opts_.sof_max_bit_errors = demod.params().preamble_slots / 4;
   // Preallocate every buffer the hot path touches: the scan copy span,
   // the (larger of) peak-resolution span, and the decode window.
-  const std::size_t scan_span = (opts_.scan_block - 1) * opts_.scan_stride + ref_len_;
-  const std::size_t sync_span = peak_span_ + opts_.scan_stride + ref_len_;
+  const std::size_t scan_span = (kScanBlock - 1) * kScanStride + ref_len_;
+  const std::size_t sync_span = peak_span_ + kScanStride + ref_len_;
   scan_buf_.reserve(std::max(scan_span, sync_span));
   scan_re_.reserve(std::max(scan_span, sync_span));
   scan_im_.reserve(std::max(scan_span, sync_span));
@@ -114,10 +126,10 @@ bool StreamingReceiver::step_searching() {
   const std::uint64_t end = ring_.abs_end();
   if (scan_pos_ + ref_len_ > end) return false;
   RT_TRACE_SPAN("stream_scan");
-  const std::size_t stride = opts_.scan_stride;
+  const std::size_t stride = kScanStride;
   const std::uint64_t max_align = end - ref_len_;
   std::size_t m = static_cast<std::size_t>((max_align - scan_pos_) / stride) + 1;
-  m = std::min(m, opts_.scan_block);
+  m = std::min(m, kScanBlock);
   const std::size_t span = (m - 1) * stride + ref_len_;
   scan_buf_.resize(span);
   ring_.copy_out(scan_pos_, std::span(scan_buf_.data(), span));
@@ -134,7 +146,7 @@ bool StreamingReceiver::step_searching() {
         kernels::corr_stats_split(ref_len_, cref_re_.data(), cref_im_.data(),
                                   scan_re_.data() + j * stride, scan_im_.data() + j * stride);
     const sig::Complex c = sig::centered_correlation_from_stats(st, cref_energy_, ref_len_);
-    if (bank_.score(c) >= opts_.scan_gate) {
+    if (bank_.score(c) >= kScanGate) {
       const std::uint64_t t_c = scan_pos_ + j * stride;
       // The true peak can trail the crossing by up to one reference
       // length (the correlation ramps while the windows overlap) and
@@ -190,7 +202,7 @@ bool StreamingReceiver::resolve_sync(bool clip) {
   // (structured garbage can cross the correlation gate; it cannot also
   // reproduce the slot pattern).
   const int bad = sof_.mismatches(buf.subspan(best, sof_.window_samples()));
-  if (bad > opts_.sof_max_bit_errors) {
+  if (bad > sof_max_bit_errors_) {
     ++stats_.sof_rejects;
     RT_OBS_COUNT(kStreamSofRejects, 1);
     state_ = State::kSearching;
@@ -243,7 +255,7 @@ void StreamingReceiver::retire_history() {
       // Keep enough look-back for a crossing at scan_pos_ itself: the
       // sync span reaches back stride - 1, and the decode window another
       // kLeadMax for the refinement candidates.
-      const std::uint64_t back = kLeadMax + opts_.scan_stride - 1;
+      const std::uint64_t back = kLeadMax + kScanStride - 1;
       keep = scan_pos_ - std::min<std::uint64_t>(scan_pos_, back);
       break;
     }

@@ -9,7 +9,7 @@
 //   SEARCHING  continuous preamble scan: centred normalized correlation
 //              against the offline reference, scored through a bank of
 //              phase-hypothesis matched filters (phase_bank.h); the first
-//              alignment whose score crosses `scan_gate` arms a sync.
+//              alignment whose score crosses the scan gate arms a sync.
 //   SYNCED     peak resolution: once one full correlation span past the
 //              crossing is buffered, the magnitude argmax pins the
 //              candidate start t*, and the bit-error-tolerant soft SOF
@@ -51,21 +51,6 @@ struct StreamOptions {
   /// Expected payload length in slots (the fixed-geometry frame contract;
   /// sim_source computes it from the payload byte count). Required.
   int payload_slots = 0;
-  /// Detection gate on the phase-bank correlation score. Noise floors at
-  /// ~1/sqrt(reference length) (< 0.05 for any supported preamble), a
-  /// real preamble peaks near 1; 0.45 leaves margin both ways.
-  double scan_gate = 0.45;
-  int phase_hypotheses = 8;
-  /// Scan decimation: only every `scan_stride`-th alignment is scored in
-  /// SEARCHING. SYNCED re-resolves the peak at full resolution, so any
-  /// stride yields the same decodes; larger strides trade detection
-  /// latency for scan throughput.
-  std::size_t scan_stride = 1;
-  /// Alignments scored per scan batch (bounds the scratch buffers).
-  std::size_t scan_block = 512;
-  /// SOF mismatch budget in slots; -1 = preamble_slots / 4 (noise decides
-  /// ~half the slots wrong, so a quarter is a comfortable wall).
-  int sof_max_bit_errors = -1;
   /// Ring capacity in samples; 0 = min_ring_capacity(). Smaller values
   /// are rejected -- the state machine could deadlock waiting for a
   /// window that can never fit.
@@ -151,6 +136,7 @@ class StreamingReceiver {
   std::size_t frame_samples_ = 0; ///< total_slots * samples_per_slot
   std::size_t window_len_ = 0;    ///< decode window length (lead + frame + W)
   std::size_t min_capacity_ = 0;
+  int sof_max_bit_errors_ = 0;    ///< SOF mismatch budget in slots
   static constexpr std::size_t kLeadMax = 3;  ///< refinement look-back (preamble +-3)
 
   SampleRing ring_;

@@ -198,7 +198,9 @@ TEST(TagArray, SinglePulseShape) {
   TagArray tag(cfg);
   const std::vector<Firing> schedule = {{rt::ms(1.0), 0, 1, -1}};
   const double fs = 40e3;
-  auto w = tag.synthesize(schedule, fs, rt::ms(10.0));
+  SynthScratch scratch;
+  sig::IqWaveform w;
+  tag.synthesize_into(schedule, fs, rt::ms(10.0), scratch, w);
   // Baseline: all relaxed pixels. I group: 2 modules * (-1) = -2 real;
   // Q group: 2 modules * (-j) => imag -2.
   EXPECT_NEAR(w[10].real(), -2.0, 0.05);
@@ -215,31 +217,26 @@ TEST(TagArray, SinglePulseShape) {
 
 TEST(TagArray, PulseSuperpositionIsLinear)
 {
-  // Two modules fired at different times: the waveform equals the sum of
-  // the individual responses (minus one extra copy of the static bias) --
-  // the superposition property DSM relies on (section 4.1).
+  // Two modules fired at different times: the rotation-free response (the
+  // waveform minus the static bias of the relaxed pixels) equals the sum of
+  // the individual responses -- the superposition property DSM relies on
+  // (section 4.1).
   TagConfig cfg;
   cfg.dsm_order = 2;
   cfg.bits_per_axis = 1;
   const double fs = 40e3;
   const double dur = rt::ms(12.0);
 
-  TagArray both(cfg);
-  auto w_both = both.synthesize(
-      std::vector<Firing>{{rt::ms(1.0), 0, 1, -1}, {rt::ms(2.5), 1, 1, -1}}, fs, dur);
+  const auto both = rotation_free_response(
+      cfg, std::vector<Firing>{{rt::ms(1.0), 0, 1, -1}, {rt::ms(2.5), 1, 1, -1}}, fs, dur);
+  const auto first =
+      rotation_free_response(cfg, std::vector<Firing>{{rt::ms(1.0), 0, 1, -1}}, fs, dur);
+  const auto second =
+      rotation_free_response(cfg, std::vector<Firing>{{rt::ms(2.5), 1, 1, -1}}, fs, dur);
+  ASSERT_EQ(both.size(), static_cast<std::size_t>(std::ceil(dur * fs)));
 
-  TagArray first(cfg);
-  auto w_first = first.synthesize(std::vector<Firing>{{rt::ms(1.0), 0, 1, -1}}, fs, dur);
-  TagArray second(cfg);
-  auto w_second = second.synthesize(std::vector<Firing>{{rt::ms(2.5), 1, 1, -1}}, fs, dur);
-
-  TagArray idle(cfg);
-  auto w_idle = idle.synthesize(std::vector<Firing>{}, fs, dur);
-
-  for (std::size_t i = 0; i < w_both.size(); ++i) {
-    const auto expected = w_first[i] + w_second[i] - w_idle[i];
-    EXPECT_NEAR(std::abs(w_both[i] - expected), 0.0, 1e-9) << i;
-  }
+  for (std::size_t i = 0; i < both.size(); ++i)
+    EXPECT_NEAR(std::abs(both[i] - (first[i] + second[i])), 0.0, 1e-9) << i;
 }
 
 TEST(TagArray, QuadratureFiringLandsOnImaginaryAxis) {
@@ -247,7 +244,10 @@ TEST(TagArray, QuadratureFiringLandsOnImaginaryAxis) {
   cfg.dsm_order = 1;
   cfg.bits_per_axis = 1;
   TagArray tag(cfg);
-  auto w = tag.synthesize(std::vector<Firing>{{rt::ms(0.5), 0, -1, 1}}, 40e3, rt::ms(6.0));
+  SynthScratch scratch;
+  sig::IqWaveform w;
+  tag.synthesize_into(std::vector<Firing>{{rt::ms(0.5), 0, -1, 1}}, 40e3, rt::ms(6.0), scratch,
+                      w);
   const auto idx = w.index_at(rt::ms(1.0));
   EXPECT_GT(w[idx].imag(), -0.5);   // Q pixel swung up
   EXPECT_NEAR(w[idx].real(), -1.0, 0.05);  // I pixel untouched
@@ -281,12 +281,15 @@ TEST(TagArray, ValidatesConfigAndSchedule) {
   EXPECT_THROW(TagArray{bad}, PreconditionError);
   TagConfig cfg;
   TagArray tag(cfg);
-  EXPECT_THROW((void)tag.synthesize(std::vector<Firing>{{0.0, 99, 1, 1}}, 40e3, rt::ms(1.0)),
+  SynthScratch scratch;
+  sig::IqWaveform w;
+  EXPECT_THROW(tag.synthesize_into(std::vector<Firing>{{0.0, 99, 1, 1}}, 40e3, rt::ms(1.0),
+                                   scratch, w),
                PreconditionError);
   // Unsorted schedule rejected.
-  EXPECT_THROW((void)tag.synthesize(
+  EXPECT_THROW(tag.synthesize_into(
                    std::vector<Firing>{{rt::ms(2.0), 0, 1, 1}, {rt::ms(1.0), 1, 1, 1}}, 40e3,
-                   rt::ms(5.0)),
+                   rt::ms(5.0), scratch, w),
                PreconditionError);
 }
 

@@ -20,6 +20,7 @@
 #include "phy/preamble.h"
 #include "phy/training.h"
 #include "signal/awgn.h"
+#include "signal/scrambler.h"
 
 namespace rt::phy {
 namespace {
@@ -52,7 +53,9 @@ struct TestChannel {
   [[nodiscard]] WaveformSource source() const {
     return [*this](std::span<const lcm::Firing> firings, double duration) {
       lcm::TagArray tag(tag_cfg);
-      auto w = tag.synthesize(firings, 40e3, duration);
+      lcm::SynthScratch scratch;
+      sig::IqWaveform w;
+      tag.synthesize_into(firings, 40e3, duration, scratch, w);
       const auto rot = optics::roll_rotation(roll_rad) * gain;
       for (auto& v : w.samples) v *= rot;
       if (noise_sigma > 0.0) {
@@ -70,8 +73,9 @@ TEST(Constellation, MapUnmapRoundTrip) {
   Rng rng(3);
   for (int trial = 0; trial < 50; ++trial) {
     const auto bits = rng.bits(4);
-    const auto sym = c.map(bits);
-    EXPECT_EQ(c.unmap(sym), bits);
+    std::vector<std::uint8_t> out;
+    c.unmap_into(c.map(bits), out);
+    EXPECT_EQ(out, bits);
   }
 }
 
@@ -89,8 +93,10 @@ TEST(Constellation, GrayAdjacency) {
   // Adjacent levels differ in exactly one payload bit.
   const Constellation c(2, false);
   for (int level = 0; level + 1 < 4; ++level) {
-    const auto a = c.unmap({level, -1});
-    const auto b = c.unmap({level + 1, -1});
+    std::vector<std::uint8_t> a;
+    std::vector<std::uint8_t> b;
+    c.unmap_into({level, -1}, a);
+    c.unmap_into({level + 1, -1}, b);
     EXPECT_EQ(hamming_distance(a, b), 1u);
   }
 }
@@ -164,7 +170,9 @@ TEST(Modulator, PacketScheduleShape) {
   const Modulator mod(p);
   Rng rng(5);
   const auto bits = rng.bits(80);  // 40 slots at 2 bits/slot
-  const auto pkt = mod.modulate(bits);
+  ModulatorWorkspace ws;
+  PacketSchedule pkt;
+  mod.modulate_into(bits, ws, pkt);
   EXPECT_EQ(pkt.layout.payload_slots, 40);
   EXPECT_EQ(pkt.payload_symbols.size(), 40u);
   EXPECT_GT(pkt.duration_s, 0.0);
@@ -180,15 +188,15 @@ TEST(Modulator, ScramblingIsInvertedByDescramble) {
   const Modulator mod(p);
   Rng rng(7);
   const auto bits = rng.bits(64);
-  const auto pkt = mod.modulate(bits);
+  ModulatorWorkspace ws;
+  PacketSchedule pkt;
+  mod.modulate_into(bits, ws, pkt);
   // Reconstruct the scrambled stream from the symbols and descramble.
   std::vector<std::uint8_t> recovered;
-  for (const auto& s : pkt.payload_symbols) {
-    const auto b = mod.constellation().unmap(s);
-    recovered.insert(recovered.end(), b.begin(), b.end());
-  }
-  const auto plain = mod.descramble(recovered);
-  for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(plain[i], bits[i]) << i;
+  for (const auto& s : pkt.payload_symbols) mod.constellation().unmap_into(s, recovered);
+  EXPECT_NE(recovered, bits);  // the scrambler is not the identity here
+  sig::Scrambler{}.apply_in_place(recovered);
+  for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(recovered[i], bits[i]) << i;
 }
 
 TEST(PulseBank, IndexValidation) {
@@ -210,9 +218,12 @@ TEST(Fingerprints, TemplatesPredictIsolatedPulse) {
   const double t0 = p.symbol_duration_s();  // settle one symbol first
   const int max_level = p.levels_per_axis() - 1;
   std::vector<lcm::Firing> fire = {{t0 + 1 * p.slot_s, 1, max_level, -1}};
-  auto active = tag.synthesize(fire, p.sample_rate_hz, t0 + 3 * p.symbol_duration_s());
+  lcm::SynthScratch scratch;
+  sig::IqWaveform active;
+  tag.synthesize_into(fire, p.sample_rate_hz, t0 + 3 * p.symbol_duration_s(), scratch, active);
   lcm::TagArray idle(p.tag_config());
-  auto base = idle.synthesize({}, p.sample_rate_hz, t0 + 3 * p.symbol_duration_s());
+  sig::IqWaveform base;
+  idle.synthesize_into({}, p.sample_rate_hz, t0 + 3 * p.symbol_duration_s(), scratch, base);
 
   const auto tmpl = bank.pulse(1, 0b001);  // history 0, fired
   const auto begin = active.index_at(t0 + 1 * p.slot_s);
@@ -262,7 +273,8 @@ TEST(Preamble, DetectsOffsetRotationAndGain) {
   const double duration = (pad_slots + p.preamble_slots + 2 * p.dsm_order) * p.slot_s;
   const auto rx = src(firings, duration);
 
-  const auto det = proc.detect(rx);
+  PreambleWorkspace ws;
+  const auto det = proc.detect(rx, 0, ws);
   ASSERT_TRUE(det.found) << "residual " << det.normalized_residual;
   EXPECT_EQ(det.start_sample, static_cast<std::size_t>(pad_slots) * p.samples_per_slot());
   // a must undo the rotation and scaling: a ~ e^{-j 2 roll} / 0.7.
@@ -275,11 +287,12 @@ TEST(Preamble, CorrectionRestoresReferenceFrame) {
   const auto p = test_params();
   const PreambleProcessor proc(p);
   TestChannel ch{p.tag_config(), rt::deg_to_rad(77.0), 1.3, 0.0};
-  const auto rx = ch.source()(preamble_firings(p, 0),
-                              (p.preamble_slots + p.dsm_order) * p.slot_s);
-  const auto det = proc.detect(rx);
+  auto corrected = ch.source()(preamble_firings(p, 0),
+                                (p.preamble_slots + p.dsm_order) * p.slot_s);
+  PreambleWorkspace ws;
+  const auto det = proc.detect(corrected, 0, ws);
   ASSERT_TRUE(det.found);
-  const auto corrected = proc.correct(rx, det);
+  proc.correct_in_place(corrected, det);
   const auto& ref = proc.reference();
   double err = 0.0;
   double refe = 0.0;
@@ -296,7 +309,8 @@ TEST(Preamble, SurvivesNoise) {
   TestChannel ch{p.tag_config(), rt::deg_to_rad(10.0), 1.0, 0.15};
   const auto rx = ch.source()(preamble_firings(p, 3),
                               (3 + p.preamble_slots + p.dsm_order) * p.slot_s);
-  const auto det = proc.detect(rx);
+  PreambleWorkspace ws;
+  const auto det = proc.detect(rx, 0, ws);
   ASSERT_TRUE(det.found);
   EXPECT_NEAR(static_cast<double>(det.start_sample),
               static_cast<double>(3 * p.samples_per_slot()), 1.0);
@@ -308,7 +322,8 @@ TEST(Preamble, NoFalseDetectionOnNoise) {
   Rng rng(13);
   sig::IqWaveform noise(p.sample_rate_hz, 4000);
   sig::add_noise_sigma(noise, 1.0, rng);
-  const auto det = proc.detect(noise);
+  PreambleWorkspace ws;
+  const auto det = proc.detect(noise, 0, ws);
   EXPECT_FALSE(det.found);
 }
 
@@ -329,11 +344,15 @@ struct EndToEnd {
     const Modulator mod(p);
     Rng rng(bit_seed);
     const auto bits = rng.bits(n_bits);
-    const auto pkt = mod.modulate(bits);
-    const auto rx = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+    ModulatorWorkspace mod_ws;
+    PacketSchedule pkt;
+    mod.modulate_into(bits, mod_ws, pkt);
+    auto rx = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
     auto o = opts;
     o.search_limit = 4 * p.samples_per_slot();
-    const auto res = demod.demodulate(rx, pkt.layout.payload_slots, o);
+    DemodWorkspace demod_ws;
+    DemodResult res;
+    demod.demodulate_into(rx, pkt.layout.payload_slots, o, demod_ws, res);
     if (!res.preamble_found) return {false, 1.0};
     std::size_t errors = 0;
     for (std::size_t i = 0; i < bits.size(); ++i) errors += (res.bits[i] != bits[i]) ? 1 : 0;
@@ -355,7 +374,6 @@ OfflineModel make_offline_model(const PhyParams& p, int rank = 3) {
 TEST(EndToEnd, NoiselessIdealChannelIsErrorFree) {
   const auto p = test_params();
   EndToEnd e2e{p, TestChannel{p.tag_config()}};
-  e2e.opts.online_training = false;
   const auto oracle = collect_fingerprints(p, e2e.ch.source());
   e2e.opts.oracle = &oracle;
   const Demodulator demod(p, make_offline_model(p));
@@ -437,7 +455,6 @@ TEST(Equalizer, MoreBranchesNeverWorseUnderNoise) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     EndToEnd e2e{p, TestChannel{p.tag_config(), 0.0, 1.0, 0.35, 100 + seed}};
     e2e.bit_seed = 300 + seed;
-    e2e.opts.online_training = false;
     e2e.opts.oracle = &oracle;
     ber1 += e2e.run(demod1).ber;
     ber8 += e2e.run(demod8).ber;
@@ -452,7 +469,6 @@ TEST(Equalizer, StateMergingMatchesPlainBeamWhenKLarge) {
   p_merge.merge_equalizer_states = true;
   const auto oracle = collect_fingerprints(p, TestChannel{p.tag_config()}.source());
   EndToEnd e2e{p, TestChannel{p.tag_config(), 0.0, 1.0, 0.3, 55}};
-  e2e.opts.online_training = false;
   e2e.opts.oracle = &oracle;
   const Demodulator demod_a(p, make_offline_model(p));
   const Demodulator demod_b(p_merge, make_offline_model(p));
@@ -473,14 +489,19 @@ TEST(Training, OnlineReconstructionMatchesOracleTemplates) {
   // Received packet (noiseless) -> detect -> correct -> online train.
   const Modulator mod(p);
   Rng rng(31);
-  const auto pkt = mod.modulate(rng.bits(40));
-  const auto rx = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  ModulatorWorkspace mod_ws;
+  PacketSchedule pkt;
+  mod.modulate_into(rng.bits(40), mod_ws, pkt);
+  auto rx = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
   const Demodulator demod(p, make_offline_model(p));
-  const auto det = demod.preamble().detect(rx, 2 * p.samples_per_slot());
+  PreambleWorkspace pre_ws;
+  const auto det = demod.preamble().detect(rx, 2 * p.samples_per_slot(), pre_ws);
   ASSERT_TRUE(det.found);
-  const auto corrected = demod.preamble().correct(rx, det);
-  const auto trained = OnlineTrainer::train(p, demod.offline_model(), pkt.layout, corrected,
-                                            det.start_sample);
+  demod.preamble().correct_in_place(rx, det);
+  TrainingWorkspace training_ws;
+  PulseBank trained;
+  OnlineTrainer::train_into(p, demod.offline_model(), pkt.layout, rx, det.start_sample, trained,
+                            training_ws);
 
   const auto oracle = collect_fingerprints(p, ch.source());
   // Compare the dominant (fired, history 0) template of every module.

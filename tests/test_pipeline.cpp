@@ -1,10 +1,11 @@
 // Tests for the stage-based packet pipeline: workspace reuse must be
 // bit-identical to fresh-workspace runs (across packets, simulators and
-// channel switches), and the demodulator's oracle-template and descramble
-// paths must behave identically through the workspace entry points.
+// channel switches), and the demodulator's oracle-template path must skip
+// online training entirely.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -106,9 +107,10 @@ TrainingField training_field(const LinkSimulator& sim, std::uint64_t idx, std::s
   PacketWorkspace ws;
   const auto pkt = sim.render_packet_rx(idx, bytes, ws);
   const auto& pre = sim.demodulator().preamble();
-  const auto det = pre.detect(ws.rx, 0);
+  const auto det = pre.detect(ws.rx, 0, ws.demod.preamble);
   EXPECT_TRUE(det.found);
-  return {phy::FrameLayout::for_params(sim.params(), pkt.payload_slots), pre.correct(ws.rx, det),
+  pre.correct_in_place(ws.rx, det);
+  return {phy::FrameLayout::for_params(sim.params(), pkt.payload_slots), std::move(ws.rx),
           det.start_sample};
 }
 
@@ -173,8 +175,10 @@ TEST(PacketPipeline, TrainingFactorFollowsModelLayoutAndRidgeSwitches) {
     const double ridge = ridges[walk[step][2]];
     SCOPED_TRACE(::testing::Message() << "step " << step);
     phy::OnlineTrainer::train_into(p, model, f.layout, f.rx, f.start, bank, shared, ridge);
-    expect_same_bank(phy::OnlineTrainer::train(p, model, f.layout, f.rx, f.start, ridge), bank,
-                     p.bits_per_axis);
+    phy::TrainingWorkspace fresh_ws;
+    phy::PulseBank fresh;
+    phy::OnlineTrainer::train_into(p, model, f.layout, f.rx, f.start, fresh, fresh_ws, ridge);
+    expect_same_bank(fresh, bank, p.bits_per_axis);
   }
 
   // The key is the model's value, not its address: mutating one model in
@@ -184,12 +188,16 @@ TEST(PacketPipeline, TrainingFactorFollowsModelLayoutAndRidgeSwitches) {
   phy::OnlineTrainer::train_into(p, mutated, f.layout, f.rx, f.start, bank, shared);
   mutated.bases(mutated.domain() / 2, 0) += 0.25;
   phy::OnlineTrainer::train_into(p, mutated, f.layout, f.rx, f.start, bank, shared);
-  expect_same_bank(phy::OnlineTrainer::train(p, mutated, f.layout, f.rx, f.start), bank,
-                   p.bits_per_axis);
+  phy::TrainingWorkspace bases_ws;
+  phy::PulseBank fresh_bases;
+  phy::OnlineTrainer::train_into(p, mutated, f.layout, f.rx, f.start, fresh_bases, bases_ws);
+  expect_same_bank(fresh_bases, bank, p.bits_per_axis);
   mutated.sigma.back() *= 4.0;
   phy::OnlineTrainer::train_into(p, mutated, f.layout, f.rx, f.start, bank, shared);
-  expect_same_bank(phy::OnlineTrainer::train(p, mutated, f.layout, f.rx, f.start), bank,
-                   p.bits_per_axis);
+  phy::TrainingWorkspace sigma_ws;
+  phy::PulseBank fresh_sigma;
+  phy::OnlineTrainer::train_into(p, mutated, f.layout, f.rx, f.start, fresh_sigma, sigma_ws);
+  expect_same_bank(fresh_sigma, bank, p.bits_per_axis);
 }
 
 TEST(PacketPipeline, PixelCalibrationKeepsTrainingFactorAcrossFrames) {
@@ -207,45 +215,74 @@ TEST(PacketPipeline, PixelCalibrationKeepsTrainingFactorAcrossFrames) {
     const auto f = training_field(sim, i, 8);
     ASSERT_GT(f.layout.pixel_rounds, 0);
     phy::OnlineTrainer::train_into(p, model, f.layout, f.rx, f.start, bank, shared);
-    const auto fresh = phy::OnlineTrainer::train(p, model, f.layout, f.rx, f.start);
+    phy::TrainingWorkspace fresh_ws;
+    phy::PulseBank fresh;
+    phy::OnlineTrainer::train_into(p, model, f.layout, f.rx, f.start, fresh, fresh_ws);
     ASSERT_TRUE(fresh.has_pixel_gains());
     SCOPED_TRACE(::testing::Message() << "frame " << i);
     expect_same_bank(fresh, bank, p.bits_per_axis);
   }
 }
 
-TEST(PacketPipeline, CompatRunPacketStillFillsReceivedBits) {
-  const auto p = fast_params();
-  const LinkSimulator sim(p, p.tag_config(), fast_channel(30.0, 5), fast_options());
-  const auto out = sim.run_packet(0, 8);
-  ASSERT_TRUE(out.preamble_found);
-  ASSERT_EQ(out.received_bits.size(), out.bits);
-  // The workspace form leaves received_bits empty but keeps the payload in
-  // ws.result.bits.
-  PacketWorkspace ws;
-  const auto ws_out = sim.run_packet(0, 8, ws);
-  EXPECT_TRUE(ws_out.received_bits.empty());
-  ASSERT_GE(ws.result.bits.size(), out.bits);
-  for (std::size_t i = 0; i < out.received_bits.size(); ++i)
-    EXPECT_EQ(out.received_bits[i], ws.result.bits[i]) << "bit " << i;
-}
-
 TEST(PacketPipeline, OracleTemplatePathMatchesThroughWorkspace) {
   auto p = fast_params();
   auto opts = fast_options();
   opts.oracle_templates = true;
-  opts.online_training = false;
   const LinkSimulator sim(p, p.tag_config(), fast_channel(25.0, 3), opts);
-  PacketWorkspace ws;
+  PacketWorkspace reused;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    const auto a = sim.run_packet(i, 8);
-    const auto b = sim.run_packet(i, 8, ws);
+    PacketWorkspace fresh;
+    const auto a = sim.run_packet(i, 8, fresh);
+    const auto b = sim.run_packet(i, 8, reused);
     expect_same_outcome(a, b);
+    EXPECT_EQ(fresh.result.bits, reused.result.bits);
   }
   // At this SNR the oracle receiver should actually decode.
-  const auto healthy = sim.run_packet(0, 8, ws);
+  const auto healthy = sim.run_packet(0, 8, reused);
   ASSERT_TRUE(healthy.preamble_found);
   EXPECT_EQ(healthy.bit_errors, 0u);
+}
+
+TEST(PacketPipeline, OracleBankSkipsTrainingStage) {
+  // With an oracle bank the training stage must not run: the workspace's
+  // training factor is never built, and a reused workspace decodes what a
+  // fresh one does.
+  const auto p = fast_params();
+  const auto tag = p.tag_config();
+  const phy::Modulator mod(p);
+  phy::ModulatorWorkspace mod_ws;
+  phy::PacketSchedule pkt;
+  Rng rng(13);
+  const auto bits = rng.bits(16);
+  mod.modulate_into(bits, mod_ws, pkt);
+  Channel ch(p, tag, fast_channel(40.0, 2));
+  const auto rx = ch.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  const phy::Demodulator demod(p, train_offline_model(p, tag, {0.0}));
+  const auto oracle = phy::oracle_bank(p, ch.noiseless_source());
+  phy::DemodOptions opts;
+  opts.oracle = &oracle;
+
+  phy::DemodWorkspace reused;
+  phy::DemodResult got;
+  sig::IqWaveform work;
+  for (int pass = 0; pass < 2; ++pass) {
+    work = rx;
+    demod.demodulate_into(work, pkt.layout.payload_slots, opts, reused, got);
+    ASSERT_TRUE(got.preamble_found);
+    EXPECT_FALSE(reused.training.factor_valid) << "pass " << pass;
+  }
+  phy::DemodWorkspace fresh;
+  phy::DemodResult want;
+  work = rx;
+  demod.demodulate_into(work, pkt.layout.payload_slots, opts, fresh, want);
+  EXPECT_FALSE(fresh.training.factor_valid);
+  EXPECT_EQ(want.bits, got.bits);
+  for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(got.bits[i], bits[i]) << i;
+
+  // Without the oracle the same workspace trains, so the flag is live.
+  work = rx;
+  demod.demodulate_into(work, pkt.layout.payload_slots, phy::DemodOptions{}, reused, got);
+  EXPECT_TRUE(reused.training.factor_valid);
 }
 
 TEST(PacketPipeline, ModulateIntoReplaysPrefixAcrossPayloads) {
@@ -256,7 +293,9 @@ TEST(PacketPipeline, ModulateIntoReplaysPrefixAcrossPayloads) {
   Rng rng(77);
   for (int trial = 0; trial < 4; ++trial) {
     const auto bits = rng.bits(trial == 2 ? 48 : 16);  // includes a size change
-    const auto ref = mod.modulate(bits);
+    phy::ModulatorWorkspace fresh_ws;
+    phy::PacketSchedule ref;
+    mod.modulate_into(bits, fresh_ws, ref);
     mod.modulate_into(bits, ws, reused);
     ASSERT_EQ(ref.firings.size(), reused.firings.size());
     for (std::size_t i = 0; i < ref.firings.size(); ++i) {
@@ -273,30 +312,6 @@ TEST(PacketPipeline, ModulateIntoReplaysPrefixAcrossPayloads) {
     EXPECT_EQ(ref.payload_symbol_count, reused.payload_symbol_count);
     EXPECT_EQ(ref.duration_s, reused.duration_s);
   }
-}
-
-TEST(PacketPipeline, DescramblePathRoundTripsThroughDemodOptions) {
-  // descramble=false must return the raw (still scrambled) bit stream:
-  // descrambling it by hand recovers exactly what descramble=true returns.
-  const auto p = fast_params();
-  const auto tag = p.tag_config();
-  const phy::Modulator mod(p);
-  Rng rng(13);
-  const auto bits = rng.bits(16);
-  const auto pkt = mod.modulate(bits);
-  Channel ch(p, tag, fast_channel(40.0, 2));
-  const auto rx = ch.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
-
-  const phy::Demodulator demod(p, train_offline_model(p, tag, {0.0}));
-  phy::DemodOptions scrambled_opts;
-  scrambled_opts.descramble = false;
-  const auto raw = demod.demodulate(rx, pkt.layout.payload_slots, scrambled_opts);
-  const auto cooked = demod.demodulate(rx, pkt.layout.payload_slots, {});
-  ASSERT_TRUE(raw.preamble_found);
-  ASSERT_TRUE(cooked.preamble_found);
-  EXPECT_EQ(mod.descramble(raw.bits), cooked.bits);
-  EXPECT_NE(raw.bits, cooked.bits);  // the scrambler is not the identity here
-  for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(cooked.bits[i], bits[i]) << i;
 }
 
 }  // namespace

@@ -282,17 +282,24 @@ TEST(RunPacketTest, IsIndependentOfCallOrder) {
   const auto points = fast_points();
   const auto& pt = points[0];
   const sim::LinkSimulator link(pt.params, pt.tag, pt.channel, pt.sim);
-  const auto forward0 = link.run_packet(0, 16);
-  const auto forward1 = link.run_packet(1, 16);
-  // Same indices queried again, in reverse order, on the same simulator.
-  const auto back1 = link.run_packet(1, 16);
-  const auto back0 = link.run_packet(0, 16);
+  // One workspace carried forward through packets 0 and 1.
+  sim::PacketWorkspace reused;
+  const auto forward0 = link.run_packet(0, 16, reused);
+  const auto bits0 = reused.result.bits;
+  const auto forward1 = link.run_packet(1, 16, reused);
+  const auto bits1 = reused.result.bits;
+  // Same indices queried again, in reverse order, on the same simulator,
+  // each on a fresh workspace.
+  sim::PacketWorkspace fresh1;
+  const auto back1 = link.run_packet(1, 16, fresh1);
+  sim::PacketWorkspace fresh0;
+  const auto back0 = link.run_packet(0, 16, fresh0);
   EXPECT_EQ(forward0.bit_errors, back0.bit_errors);
-  EXPECT_EQ(forward0.received_bits, back0.received_bits);
+  EXPECT_EQ(bits0, fresh0.result.bits);
   EXPECT_EQ(forward1.bit_errors, back1.bit_errors);
-  EXPECT_EQ(forward1.received_bits, back1.received_bits);
+  EXPECT_EQ(bits1, fresh1.result.bits);
   // Distinct packet indices see distinct payload/noise draws.
-  EXPECT_NE(forward0.received_bits, forward1.received_bits);
+  EXPECT_NE(bits0, bits1);
 }
 
 }  // namespace
