@@ -9,13 +9,16 @@
 #include <cstddef>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 
 #include "common/error.h"
 
 namespace rt::coding {
 
 struct CodeDescriptor {
-  enum class Kind { kNone, kReedSolomon, kConvolutional };
+  // Word-sized so the struct has no padding: every byte of a descriptor is
+  // set, so copies compare and print (e.g. as a gtest parameter) identically.
+  enum class Kind : std::size_t { kNone, kReedSolomon, kConvolutional };
 
   Kind kind = Kind::kNone;
   std::size_t n = 0;  ///< RS: codeword symbols; unused otherwise
@@ -64,5 +67,8 @@ struct CodeDescriptor {
 
   friend bool operator==(const CodeDescriptor&, const CodeDescriptor&) = default;
 };
+
+static_assert(std::has_unique_object_representations_v<CodeDescriptor>,
+              "CodeDescriptor must have no padding bytes");
 
 }  // namespace rt::coding
