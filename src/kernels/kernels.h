@@ -46,13 +46,6 @@ struct LcBankParams {
   double k_mem;
 };
 
-/// One decision-feedback term: weighted pulse template subtracted from the
-/// residual (weight = pixel area x complex gain).
-struct CTerm {
-  const Complex* tmpl;
-  Complex w;
-};
-
 /// Running sums of correlation_centered_at: acc = sum conj(ref)*x,
 /// wsum = sum x, wenergy = sum |x|^2.
 struct CorrStats {
@@ -77,8 +70,8 @@ struct CorrStats {
   void axpy_sub_cplx(std::size_t n, Complex a, const Complex* x, Complex* y);                   \
   void caxpy_real(std::size_t n, Complex a, const double* x, Complex* y);                       \
   void split_complex(std::size_t n, const Complex* x, double* re, double* im);                  \
-  void dfe_residual(std::size_t n, const Complex* src, Complex* dst, const CTerm* terms,        \
-                    std::size_t n_terms);                                                       \
+  void dfe_residual(std::size_t n, const Complex* src, Complex* dst,                            \
+                    const Complex* const* tmpl, std::size_t n_terms);                           \
   double phase_score_max(std::size_t k, const double* rot_re, const double* rot_im,             \
                          double c_re, double c_im);                                             \
   /* -- reductions (AVX2 reassociates; tolerance in tests/test_kernels.cpp) -- */               \
@@ -90,7 +83,7 @@ struct CorrStats {
   CorrStats corr_stats(std::size_t n, const Complex* ref, const Complex* x);                    \
   CorrStats corr_stats_split(std::size_t n, const double* ref_re, const double* ref_im,         \
                              const double* x_re, const double* x_im);                           \
-  double dfe_score(std::size_t n, const Complex* residual, const CTerm* terms,                  \
+  double dfe_score(std::size_t n, const Complex* residual, const Complex* const* tmpl,          \
                    std::size_t n_terms);                                                        \
   Complex fir_dot(std::size_t nt, const double* taps, const double* taps_rev,                   \
                   const Complex* xw);                                                           \

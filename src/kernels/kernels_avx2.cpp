@@ -35,8 +35,6 @@ namespace {
 
 constexpr double kMaxSubstep = 10e-6;  // mirrors lcm/lc_cell.cpp
 
-constexpr std::size_t kMaxDfeTerms = 32;  // stack cap for hoisted weights
-
 inline const double* as_doubles(const Complex* p) {
   return reinterpret_cast<const double*>(p);
 }
@@ -375,34 +373,20 @@ void split_complex(std::size_t n, const Complex* x, double* re, double* im) {
   scalar::split_complex(n, x, re, im);
 }
 
-void dfe_residual(std::size_t n, const Complex* src, Complex* dst, const CTerm* terms,
+void dfe_residual(std::size_t n, const Complex* src, Complex* dst, const Complex* const* tmpl,
                   std::size_t n_terms) {
-  if (n_terms > kMaxDfeTerms) {
-    scalar::dfe_residual(n, src, dst, terms, n_terms);
-    return;
-  }
-  vpack4d wr[kMaxDfeTerms];
-  vpack4d wi[kMaxDfeTerms];
-  for (std::size_t t = 0; t < n_terms; ++t) {
-    wr[t] = vpack4d::broadcast(terms[t].w.real());
-    wi[t] = vpack4d::broadcast(terms[t].w.imag());
-  }
   const std::size_t n2 = n & ~std::size_t{1};
   const double* sp = as_doubles(src);
   double* dp = as_doubles(dst);
   for (std::size_t k = 0; k < n2; k += 2) {
     vpack4d e = vpack4d::load(sp + 2 * k);
-    for (std::size_t t = 0; t < n_terms; ++t) {
-      const vpack4d tm = vpack4d::load(as_doubles(terms[t].tmpl) + 2 * k);
-      e = e - (wr[t] * tm + neg_even(wi[t] * swap_pairs(tm)));
-    }
+    for (std::size_t t = 0; t < n_terms; ++t) e = e - vpack4d::load(as_doubles(tmpl[t]) + 2 * k);
     e.store(dp + 2 * k);
   }
   if (n2 != n) {
-    // Re-base each template at the tail element before handing off.
-    CTerm tail[kMaxDfeTerms];
-    for (std::size_t t = 0; t < n_terms; ++t) tail[t] = {terms[t].tmpl + n2, terms[t].w};
-    scalar::dfe_residual(1, src + n2, dst + n2, tail, n_terms);
+    Complex e = src[n2];
+    for (std::size_t t = 0; t < n_terms; ++t) e -= tmpl[t][n2];
+    dst[n2] = e;
   }
 }
 
@@ -540,32 +524,21 @@ CorrStats corr_stats_split(std::size_t n, const double* ref_re, const double* re
   return CorrStats{Complex{re, im}, Complex{wr, wi}, we};
 }
 
-double dfe_score(std::size_t n, const Complex* residual, const CTerm* terms,
+double dfe_score(std::size_t n, const Complex* residual, const Complex* const* tmpl,
                  std::size_t n_terms) {
-  if (n_terms > kMaxDfeTerms) return scalar::dfe_score(n, residual, terms, n_terms);
-  vpack4d wr[kMaxDfeTerms];
-  vpack4d wi[kMaxDfeTerms];
-  for (std::size_t t = 0; t < n_terms; ++t) {
-    wr[t] = vpack4d::broadcast(terms[t].w.real());
-    wi[t] = vpack4d::broadcast(terms[t].w.imag());
-  }
   const std::size_t n2 = n & ~std::size_t{1};
   const double* rp = as_doubles(residual);
   vpack4d acc = vpack4d::zero();
   for (std::size_t k = 0; k < n2; k += 2) {
     vpack4d e = vpack4d::load(rp + 2 * k);
-    for (std::size_t t = 0; t < n_terms; ++t) {
-      const vpack4d tm = vpack4d::load(as_doubles(terms[t].tmpl) + 2 * k);
-      e = e - (wr[t] * tm + neg_even(wi[t] * swap_pairs(tm)));
-    }
+    for (std::size_t t = 0; t < n_terms; ++t) e = e - vpack4d::load(as_doubles(tmpl[t]) + 2 * k);
     acc = fmadd(e, e, acc);
   }
   double score = reduce_add(acc);
   if (n2 != n) {
-    // Re-base each template at the tail element before handing off.
-    CTerm tail[kMaxDfeTerms];
-    for (std::size_t t = 0; t < n_terms; ++t) tail[t] = {terms[t].tmpl + n2, terms[t].w};
-    score += scalar::dfe_score(1, residual + n2, tail, n_terms);
+    Complex e = residual[n2];
+    for (std::size_t t = 0; t < n_terms; ++t) e -= tmpl[t][n2];
+    score += std::norm(e);
   }
   return score;
 }

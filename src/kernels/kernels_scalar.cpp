@@ -133,13 +133,15 @@ void split_complex(std::size_t n, const Complex* x, double* re, double* im) {
   }
 }
 
-// Replaces the decision-feedback propagation in phy/equalizer.cpp:
-// dst[k] = src[k] - sum_t w_t * tmpl_t[k], term-by-term in order.
-void dfe_residual(std::size_t n, const Complex* src, Complex* dst, const CTerm* terms,
+// Decision-feedback propagation in phy/equalizer.cpp: dst[k] = src[k] -
+// sum_t tmpl_t[k], term-by-term in order. The templates arrive
+// pre-weighted (pixel area x gain already multiplied in), so each term is
+// one subtraction.
+void dfe_residual(std::size_t n, const Complex* src, Complex* dst, const Complex* const* tmpl,
                   std::size_t n_terms) {
   for (std::size_t k = 0; k < n; ++k) {
     Complex e = src[k];
-    for (std::size_t t = 0; t < n_terms; ++t) e -= terms[t].w * terms[t].tmpl[k];
+    for (std::size_t t = 0; t < n_terms; ++t) e -= tmpl[t][k];
     dst[k] = e;
   }
 }
@@ -232,14 +234,14 @@ CorrStats corr_stats_split(std::size_t n, const double* ref_re, const double* re
   return CorrStats{Complex{acc_re, acc_im}, Complex{wsum_re, wsum_im}, wenergy};
 }
 
-// Replaces the fused candidate-scoring loop in phy/equalizer.cpp:
-// sum_k |residual[k] - sum_t w_t * tmpl_t[k]|^2.
-double dfe_score(std::size_t n, const Complex* residual, const CTerm* terms,
+// Candidate scoring in phy/equalizer.cpp over pre-weighted templates:
+// sum_k |residual[k] - sum_t tmpl_t[k]|^2.
+double dfe_score(std::size_t n, const Complex* residual, const Complex* const* tmpl,
                  std::size_t n_terms) {
   double score = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     Complex e = residual[k];
-    for (std::size_t t = 0; t < n_terms; ++t) e -= terms[t].w * terms[t].tmpl[k];
+    for (std::size_t t = 0; t < n_terms; ++t) e -= tmpl[t][k];
     score += std::norm(e);
   }
   return score;

@@ -1,9 +1,13 @@
 #include "phy/equalizer.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <numeric>
 
 #include "common/error.h"
+#include "common/narrow.h"
+#include "kernels/kernels.h"
 #include "obs/trace.h"
 
 namespace rt::phy {
@@ -23,26 +27,35 @@ namespace {
 // *pixel*.
 
 using Branch = EqualizerWorkspace::Branch;
-using Candidate = EqualizerWorkspace::Candidate;
+using Step = EqualizerWorkspace::Step;
 
-/// Writes the merge key of `b` -- the last (L - 1) decisions (whose pulses
-/// still overlap future slots) plus every pixel history -- into `dst`
-/// (fixed stride, zero-padded head). All branches compared within one slot
-/// carry the same number of decisions, so the padded fixed-width layout
-/// equals the variable-length key byte for byte where it matters.
-void write_merge_key(const Branch& b, int dsm_order, std::span<char> dst) {
+/// Writes the merge key of a survivor -- its last (L - 1) decisions (whose
+/// pulses still overlap future slots) plus every pixel history -- into
+/// `dst` (fixed stride, zero-padded tail). The survivor's newest decision
+/// is `sym`; older ones are read off the trail from `parent_step`; `depth`
+/// counts all of its decisions. All branches compared within one slot
+/// carry the same depth, so the padded fixed-width layout equals the
+/// variable-length key byte for byte where it matters.
+void write_merge_key(std::span<const Step> trail, std::size_t parent_step, SymbolLevels sym,
+                     std::size_t depth, int dsm_order, std::span<const unsigned> pixel_hist,
+                     std::span<char> dst) {
   std::memset(dst.data(), 0, dst.size());
-  const std::size_t tail = std::min<std::size_t>(b.decisions.size(),
-                                                 static_cast<std::size_t>(dsm_order - 1));
-  std::size_t w = 0;
-  for (std::size_t i = b.decisions.size() - tail; i < b.decisions.size(); ++i) {
+  const std::size_t tail = std::min(depth, static_cast<std::size_t>(dsm_order - 1));
+  // Oldest decision first, newest (`sym`) last.
+  std::size_t step = parent_step;
+  for (std::size_t j = tail; j-- > 0;) {
     // rt-lint: narrowing-ok (opaque hash key; only equality matters)
-    dst[w++] = static_cast<char>(b.decisions[i].level_i + 2);
-    dst[w++] = static_cast<char>(b.decisions[i].level_q + 2);  // rt-lint: narrowing-ok
+    dst[2 * j] = static_cast<char>(sym.level_i + 2);
+    dst[2 * j + 1] = static_cast<char>(sym.level_q + 2);  // rt-lint: narrowing-ok
+    if (j > 0) {
+      sym = trail[step].sym;
+      step = trail[step].prev;
+    }
   }
+  std::size_t w = 2 * tail;
   dst[w++] = '|';
   // rt-lint: narrowing-ok (opaque hash key; only equality matters)
-  for (const auto h : b.pixel_hist) dst[w++] = static_cast<char>(h);
+  for (const auto h : pixel_hist) dst[w++] = static_cast<char>(h);
 }
 
 }  // namespace
@@ -65,37 +78,76 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
   const int l = p_.dsm_order;
   const int modules = p_.use_q_channel ? 2 * l : l;
   const int bits = p_.bits_per_axis;
-  const std::size_t n_pixels = static_cast<std::size_t>(modules) * static_cast<std::size_t>(bits);
+  const auto ubits = static_cast<std::size_t>(bits);
+  const std::size_t n_pixels = static_cast<std::size_t>(modules) * ubits;
   RT_ENSURE(initial_histories.size() == n_pixels,
             "initial history count must equal the pixel count (modules x bits_per_axis)");
   const std::size_t t_samps = p_.samples_per_slot();
   const std::size_t w_samps = p_.samples_per_symbol();
   const unsigned hist_mask = p_.history_mask();
   const double area_denom = static_cast<double>((1 << bits) - 1);
+  const auto entries = static_cast<std::size_t>(bank_.entries());
+  const auto n_keys = narrow_cast<unsigned>(bank_.entries());
+  const std::size_t levels = std::size_t{1} << ubits;
+  const std::size_t bits_per_symbol = static_cast<std::size_t>(p_.bits_per_slot());
+  const auto max_branches = static_cast<std::size_t>(p_.equalizer_branches);
 
   // rx sample at absolute index, zero beyond the end.
   const auto rx_at = [&](std::size_t idx) -> Complex {
     return idx < rx.size() ? rx[idx] : Complex{};
   };
 
-  // Module waveform terms for `level` given per-pixel histories: one
-  // area-weighted template per pixel whose (history, fired) key is
-  // non-zero -- including the tail terms of unfired pixels.
-  const auto gather_terms = [&](int module_global, int level,
-                                std::span<const unsigned> pixel_hist,
-                                std::vector<kernels::CTerm>& out_terms) {
-    const std::size_t base =
-        static_cast<std::size_t>(module_global) * static_cast<std::size_t>(bits);
+  // Pre-weighted templates: every term the DFE subtracts is
+  // area(wb) * pixel_gain(module, wb) * pulse(module, key)[k], and the
+  // weight depends only on (module, pixel), never on the branch, so the
+  // products are formed once per call (the bank changes every frame).
+  // Key 0 (no history, unfired) contributes nothing and is never read.
+  ws.weighted.resize(n_pixels * entries * w_samps);
+  for (int mg = 0; mg < modules; ++mg) {
     for (int wb = 0; wb < bits; ++wb) {
       const int weight_bit = bits - 1 - wb;  // wb 0 = largest pixel
-      const unsigned fired = (level > 0 && ((level >> weight_bit) & 1)) ? 1U : 0U;
-      const unsigned h = pixel_hist[base + static_cast<std::size_t>(wb)] & hist_mask;
+      const double area = static_cast<double>(1 << weight_bit) / area_denom;
+      const Complex w = area * bank_.pixel_gain(mg, wb);
+      const std::size_t pixel = static_cast<std::size_t>(mg) * ubits + static_cast<std::size_t>(wb);
+      for (unsigned key = 1; key < n_keys; ++key) {
+        const auto tmpl = bank_.pulse(mg, key);
+        Complex* dst = ws.weighted.data() + (pixel * entries + key) * w_samps;
+        for (std::size_t k = 0; k < w_samps; ++k) dst[k] = w * tmpl[k];
+      }
+    }
+  }
+
+  // Module waveform terms for `level` given per-pixel histories: one
+  // pre-weighted template per pixel whose (history, fired) key is
+  // non-zero -- including the tail terms of unfired pixels. Writes at
+  // most bits_per_axis pointers to `dst` and returns their count.
+  const auto gather = [&](int module_global, std::size_t level,
+                          std::span<const unsigned> pixel_hist, const Complex** dst) {
+    const std::size_t base = static_cast<std::size_t>(module_global) * ubits;
+    std::size_t n = 0;
+    for (std::size_t wb = 0; wb < ubits; ++wb) {
+      const std::size_t weight_bit = ubits - 1 - wb;
+      const unsigned fired = ((level >> weight_bit) & 1U) != 0 ? 1U : 0U;
+      const unsigned h = pixel_hist[base + wb] & hist_mask;
       const unsigned key = (h << 1) | fired;
       if (key == 0) continue;
-      const double area = static_cast<double>(1 << weight_bit) / area_denom;
-      // rt-check: alloc-ok (pooled ws.terms; capacity amortized across slots and packets)
-      out_terms.push_back({bank_.pulse(module_global, key).data(),
-                           area * bank_.pixel_gain(module_global, wb)});
+      dst[n++] = ws.weighted.data() + ((base + wb) * entries + key) * w_samps;
+    }
+    return n;
+  };
+
+  // Per-pixel history update for the cycled modules. Histories count in
+  // W-cycles; in basic DSM a firing period spans (L + rest) / L cycles, so
+  // the shift distance grows accordingly (rounded up; the rest cycles are
+  // idle zeros).
+  const int hist_shifts = std::max(1, (p_.period_slots() + l - 1) / l);
+  const auto update_hist = [&](std::vector<unsigned>& pixel_hist, int module_global, int level) {
+    const std::size_t base = static_cast<std::size_t>(module_global) * ubits;
+    for (int wb = 0; wb < bits; ++wb) {
+      const int weight_bit = bits - 1 - wb;
+      const unsigned fired = (level > 0 && ((level >> weight_bit) & 1)) ? 1U : 0U;
+      auto& h = pixel_hist[base + static_cast<std::size_t>(wb)];
+      h = ((h << hist_shifts) | (fired << (hist_shifts - 1))) & hist_mask;
     }
   };
 
@@ -104,8 +156,7 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
   {
     Branch& seed = ws.cur[0];
     seed.metric = 0.0;
-    seed.decisions.clear();
-    seed.llrs.clear();
+    seed.step = EqualizerWorkspace::kNoStep;
     seed.pixel_hist.assign(initial_histories.begin(), initial_histories.end());
     seed.residual.resize(w_samps);
     for (std::size_t k = 0; k < w_samps; ++k) seed.residual[k] = rx_at(payload_begin + k);
@@ -120,14 +171,28 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
     ws.alphabet_q = p_.use_q_channel ? 1 : 0;
   }
   const auto& alphabet = ws.alphabet;
+  const std::size_t n_alpha = alphabet.size();
 
-  auto& terms = ws.terms;
+  // Every per-slot buffer is sized here, before the slot loop: at most K
+  // branches expand per slot and each active slot keeps at most K steps.
+  std::size_t n_active = 0;
+  for (int n = 0; n < n_slots; ++n) n_active += p_.slot_active(n) ? 1 : 0;
+  ws.trail.clear();
+  ws.trail.reserve(max_branches * n_active);
+  ws.trail_llrs.clear();
+  if (soft_output) ws.trail_llrs.reserve(max_branches * n_active * bits_per_symbol);
+  ws.scores.resize(max_branches * n_alpha);
+  ws.order.resize(max_branches * n_alpha);
+  ws.gathered.resize(max_branches * 2 * levels * ubits);
+  ws.n_gathered.resize(max_branches * 2 * levels);
+  ws.partial_i.resize(levels * t_samps);
 
   // Merge-key layout: fixed stride so keys live in one flat buffer.
   const std::size_t key_stride =
       2 * static_cast<std::size_t>(l > 0 ? l - 1 : 0) + 1 + n_pixels;
-  const auto max_branches = static_cast<std::size_t>(p_.equalizer_branches);
+  if (p_.merge_equalizer_states) ws.seen_keys.resize(max_branches * key_stride);
 
+  std::size_t n_decided = 0;  // decisions per branch so far (all branches alike)
   for (int n = 0; n < n_slots; ++n) {
     if (!p_.slot_active(n)) {
       // Basic-DSM rest slot: no firing to decide. Score the window energy
@@ -145,72 +210,86 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
       continue;
     }
     const int m = p_.slot_module(n);
-    auto& candidates = ws.candidates;
-    candidates.clear();
-    candidates.reserve(ws.n_cur * alphabet.size());
+    // Candidate scores, branch-major and alphabet i-major. Each candidate's
+    // error chain is e = r - I terms - Q terms; the I part depends only on
+    // (branch, I level), so it is formed once per level over the T-window
+    // and each candidate subtracts just its Q terms from it. Terms are
+    // gathered once per (branch, axis, level) and kept for the survivors'
+    // tail update below.
+    const std::size_t n_cand = ws.n_cur * n_alpha;
     for (std::size_t bi = 0; bi < ws.n_cur; ++bi) {
-      const auto& b = ws.cur[bi];
-      for (const auto& sym : alphabet) {
-        terms.clear();
-        gather_terms(m, sym.level_i, b.pixel_hist, terms);
-        if (p_.use_q_channel) gather_terms(l + m, sym.level_q, b.pixel_hist, terms);
-        const double score =
-            kernels::dfe_score(t_samps, b.residual.data(), terms.data(), terms.size());
-        candidates.push_back({bi, sym, b.metric + score});
+      const Branch& b = ws.cur[bi];
+      const std::size_t g_base = bi * 2 * levels;  // (bi, I, level 0)
+      for (std::size_t li = 0; li < levels; ++li) {
+        const std::size_t g = g_base + li;
+        const Complex** terms = ws.gathered.data() + g * ubits;
+        ws.n_gathered[g] = gather(m, li, b.pixel_hist, terms);
+        kernels::dfe_residual(t_samps, b.residual.data(), ws.partial_i.data() + li * t_samps,
+                              terms, ws.n_gathered[g]);
+      }
+      if (p_.use_q_channel) {
+        for (std::size_t lq = 0; lq < levels; ++lq) {
+          const std::size_t g = g_base + levels + lq;
+          ws.n_gathered[g] = gather(l + m, lq, b.pixel_hist, ws.gathered.data() + g * ubits);
+        }
+      }
+      double* row = ws.scores.data() + bi * n_alpha;
+      for (std::size_t a = 0; a < n_alpha; ++a) {
+        const auto& sym = alphabet[a];
+        const Complex* e_i =
+            ws.partial_i.data() + static_cast<std::size_t>(sym.level_i) * t_samps;
+        double score = 0.0;
+        if (p_.use_q_channel) {
+          const std::size_t g = g_base + levels + static_cast<std::size_t>(sym.level_q);
+          score = kernels::dfe_score(t_samps, e_i, ws.gathered.data() + g * ubits,
+                                     ws.n_gathered[g]);
+        } else {
+          score = kernels::dfe_score(t_samps, e_i, nullptr, 0);
+        }
+        row[a] = b.metric + score;
       }
     }
-    if (soft_output) {
-      // Snapshot the candidate scores before the sort scrambles them: row
-      // `bi` holds one score per alphabet entry for parent branch `bi`,
-      // exactly what the max-log-MAP demapper needs (the parent's
-      // cumulative metric is a shared additive constant that cancels in
-      // every bit margin).
-      ws.slot_scores.resize(candidates.size());
-      for (std::size_t ci = 0; ci < candidates.size(); ++ci)
-        ws.slot_scores[ci] = candidates[ci].metric;
+
+    // Survivor order is total -- (metric, candidate index) -- so exact ties
+    // go to the lowest index and the top-K cut agrees with a full sort.
+    // Without merging only the K best are ever read; merging may skip
+    // duplicates and walk past K, so it sorts them all.
+    const double* scores = ws.scores.data();
+    const auto better = [scores](std::size_t a, std::size_t b) {
+      return scores[a] < scores[b] || (scores[a] == scores[b] && a < b);
+    };
+    const auto first = ws.order.begin();
+    const auto last = first + static_cast<std::ptrdiff_t>(n_cand);
+    std::iota(first, last, std::size_t{0});
+    if (p_.merge_equalizer_states) {
+      std::sort(first, last, better);
+    } else {
+      std::partial_sort(first, first + static_cast<std::ptrdiff_t>(std::min(max_branches, n_cand)),
+                        last, better);
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) { return a.metric < b.metric; });
 
     // Survivor selection into the `next` pool: optionally merge identical
     // trellis states first. Copy assignment into pooled branches reuses
-    // the inner vectors' capacity.
-    RT_OBS_COUNT(kDfeBranchesExpanded, candidates.size());
+    // the inner vectors' capacity; each kept decision is one trail step.
+    RT_OBS_COUNT(kDfeBranchesExpanded, n_cand);
     std::size_t n_next = 0;
     std::size_t n_seen = 0;
     std::size_t n_merged = 0;
-    if (p_.merge_equalizer_states) ws.seen_keys.resize(max_branches * key_stride);
-    for (const auto& c : candidates) {
-      if (n_next >= max_branches) break;
-      const auto& parent = ws.cur[c.parent];
+    for (std::size_t r = 0; r < n_cand && n_next < max_branches; ++r) {
+      const std::size_t ci = ws.order[r];
+      const std::size_t bi = ci / n_alpha;
+      const SymbolLevels sym = alphabet[ci % n_alpha];
+      const Branch& parent = ws.cur[bi];
       // rt-check: alloc-ok (branch pool grows to K once, then steady state reuses the slots)
       if (n_next == ws.next.size()) ws.next.emplace_back();
       Branch& nb = ws.next[n_next];
-      nb.metric = c.metric;
-      nb.decisions = parent.decisions;
-      // rt-check: alloc-ok (pooled branch buffer; capacity reaches the slot count at warm-up)
-      nb.decisions.push_back(c.sym);
+      nb.metric = scores[ci];
       nb.pixel_hist = parent.pixel_hist;
-      // Per-pixel history update for the cycled modules. Histories count
-      // in W-cycles; in basic DSM a firing period spans (L + rest) / L
-      // cycles, so the shift distance grows accordingly (the rest cycles
-      // are idle zeros).
-      const int hist_shifts = std::max(1, (p_.period_slots() + l - 1) / l);  // ceil: basic DSM periods exceed W
-      const auto update_hist = [&](int module_global, int level) {
-        const std::size_t base =
-            static_cast<std::size_t>(module_global) * static_cast<std::size_t>(bits);
-        for (int wb = 0; wb < bits; ++wb) {
-          const int weight_bit = bits - 1 - wb;
-          const unsigned fired = (level > 0 && ((level >> weight_bit) & 1)) ? 1U : 0U;
-          auto& h = nb.pixel_hist[base + static_cast<std::size_t>(wb)];
-          h = ((h << hist_shifts) | (fired << (hist_shifts - 1))) & hist_mask;
-        }
-      };
-      update_hist(m, c.sym.level_i);
-      if (p_.use_q_channel) update_hist(l + m, c.sym.level_q);
+      update_hist(nb.pixel_hist, m, sym.level_i);
+      if (p_.use_q_channel) update_hist(nb.pixel_hist, l + m, sym.level_q);
       if (p_.merge_equalizer_states) {
         const std::span<char> key(ws.seen_keys.data() + n_seen * key_stride, key_stride);
-        write_merge_key(nb, l, key);
+        write_merge_key(ws.trail, parent.step, sym, n_decided + 1, l, nb.pixel_hist, key);
         bool dup = false;
         for (std::size_t s = 0; s < n_seen; ++s) {
           if (std::memcmp(ws.seen_keys.data() + s * key_stride, key.data(), key_stride) == 0) {
@@ -224,24 +303,25 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
         }
         ++n_seen;
       }
-      if (soft_output) {
-        nb.llrs = parent.llrs;
-        constellation_.unmap_soft_into(
-            {ws.slot_scores.data() + c.parent * alphabet.size(), alphabet.size()}, nb.llrs);
-      }
+      nb.step = ws.trail.size();
+      ws.trail.push_back({parent.step, sym});
+      if (soft_output)
+        constellation_.unmap_soft_into({scores + bi * n_alpha, n_alpha}, ws.trail_llrs);
       // Decision feedback: subtract the decided cycle's waveform over its
-      // full W span, then slide the window one slot forward.
-      terms.clear();
-      gather_terms(m, c.sym.level_i, parent.pixel_hist, terms);
-      if (p_.use_q_channel) gather_terms(l + m, c.sym.level_q, parent.pixel_hist, terms);
+      // full W span with the terms gathered for scoring, re-based at the
+      // feedback offset, then slide the window one slot forward.
+      std::array<const Complex*, 8> tail{};  // <= 2 axes x 4 pixels (validate())
+      std::size_t n_tail = 0;
+      const auto append = [&](std::size_t g) {
+        for (std::size_t j = 0; j < ws.n_gathered[g]; ++j)
+          tail[n_tail++] = ws.gathered[g * ubits + j] + t_samps;
+      };
+      append(bi * 2 * levels + static_cast<std::size_t>(sym.level_i));
+      if (p_.use_q_channel)
+        append(bi * 2 * levels + levels + static_cast<std::size_t>(sym.level_q));
       nb.residual.resize(w_samps);
-      // Re-base every template at the feedback offset so the kernel walks
-      // contiguous arrays: dst[k] = src[t_samps + k] - sum w * tmpl[t_samps + k].
-      ws.tail_terms.resize(terms.size());
-      for (std::size_t t = 0; t < terms.size(); ++t)
-        ws.tail_terms[t] = {terms[t].tmpl + t_samps, terms[t].w};
       kernels::dfe_residual(w_samps - t_samps, parent.residual.data() + t_samps,
-                            nb.residual.data(), ws.tail_terms.data(), ws.tail_terms.size());
+                            nb.residual.data(), tail.data(), n_tail);
       const std::size_t next_window_begin =
           payload_begin + (static_cast<std::size_t>(n) + 1) * t_samps + (w_samps - t_samps);
       for (std::size_t k = 0; k < t_samps; ++k)
@@ -249,9 +329,10 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
       ++n_next;
     }
     RT_OBS_COUNT(kDfeStateMerges, n_merged);
-    RT_OBS_COUNT(kDfeBranchesPruned, candidates.size() - n_next - n_merged);
+    RT_OBS_COUNT(kDfeBranchesPruned, n_cand - n_next - n_merged);
     std::swap(ws.cur, ws.next);
     ws.n_cur = n_next;
+    ++n_decided;
     RT_ENSURE(ws.n_cur > 0, "equalizer lost all branches");
   }
 
@@ -259,10 +340,19 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
   const auto best = std::min_element(
       ws.cur.begin(), ws.cur.begin() + static_cast<std::ptrdiff_t>(ws.n_cur),
       [](const Branch& a, const Branch& b) { return a.metric < b.metric; });
-  out.symbols.assign(best->decisions.begin(), best->decisions.end());
+  // Trace the winner back along the trail, newest decision last.
+  out.symbols.resize(n_decided);
+  out.soft_bits.resize(soft_output ? n_decided * bits_per_symbol : 0);
+  std::size_t step = best->step;
+  for (std::size_t j = n_decided; j-- > 0;) {
+    out.symbols[j] = ws.trail[step].sym;
+    if (soft_output)
+      std::copy_n(ws.trail_llrs.begin() + static_cast<std::ptrdiff_t>(step * bits_per_symbol),
+                  bits_per_symbol,
+                  out.soft_bits.begin() + static_cast<std::ptrdiff_t>(j * bits_per_symbol));
+    step = ws.trail[step].prev;
+  }
   out.final_metric = best->metric;
-  out.soft_bits.clear();
-  if (soft_output) out.soft_bits.assign(best->llrs.begin(), best->llrs.end());
   RT_OBS_OBSERVE(kEqualizerResidual, out.final_metric);
 }
 

@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "kernels/kernels.h"
 #include "phy/constellation.h"
 #include "phy/params.h"
 #include "phy/pulse_model.h"
@@ -34,32 +33,47 @@ struct EqualizerResult {
 
 /// Reusable branch pools and scratch for DfeEqualizer::equalize_into().
 /// Branches live in two pools (current generation / survivors) whose inner
-/// vectors keep their capacity across slots and packets, so the branch
-/// expansion loop stops allocating once it has seen the deepest packet.
+/// vectors keep their capacity across slots and packets; every other
+/// buffer is sized from (K, payload slots, bank shape) before the slot
+/// loop, so the branch expansion stops allocating once the workspace has
+/// seen the largest packet.
 struct EqualizerWorkspace {
+  /// Sentinel `prev`/`step` for the empty decision prefix.
+  static constexpr std::size_t kNoStep = static_cast<std::size_t>(-1);
   struct Branch {
     double metric = 0.0;
-    std::vector<SymbolLevels> decisions;
+    std::size_t step = kNoStep;        ///< newest decision in `trail`
     std::vector<Complex> residual;     ///< upcoming window [nT, nT + W)
     std::vector<unsigned> pixel_hist;  ///< per-pixel V-bit firing history
-    std::vector<float> llrs;           ///< per-bit LLRs along this prefix (soft mode)
   };
-  struct Candidate {
-    std::size_t parent;
+  /// One decision of one survivor; a branch's prefix is the chain of
+  /// `prev` links from its newest step back to kNoStep.
+  struct Step {
+    std::size_t prev;
     SymbolLevels sym;
-    double metric;
   };
   std::vector<Branch> cur;   ///< live branches (first n_cur entries)
   std::vector<Branch> next;  ///< survivor pool being built
   std::size_t n_cur = 0;
-  std::vector<Candidate> candidates;
-  std::vector<kernels::CTerm> terms;       ///< per-candidate template/weight terms
-  std::vector<kernels::CTerm> tail_terms;  ///< `terms` re-based at the feedback offset
+  std::vector<Step> trail;        ///< survivor memory, one entry per kept decision
+  std::vector<float> trail_llrs;  ///< bits_per_symbol LLRs per trail step (soft mode)
+  /// Candidate metrics in push order (branch-major, alphabet i-major):
+  /// row `bi` is parent `bi`'s per-symbol score row for the soft demapper.
+  std::vector<double> scores;
+  std::vector<std::size_t> order;  ///< candidate indices, best first after selection
+  /// Pre-weighted templates area(wb) * pixel_gain(module, wb) *
+  /// pulse(module, key), W samples per (module, pixel, key); rebuilt per
+  /// call because online training changes the bank every frame.
+  std::vector<Complex> weighted;
+  /// Gathered template pointers per (branch, axis, level): up to
+  /// bits_per_axis entries each, `n_gathered` of them live.
+  std::vector<const Complex*> gathered;
+  std::vector<std::size_t> n_gathered;
+  std::vector<Complex> partial_i;  ///< residual minus I terms over T, per I level
   std::vector<SymbolLevels> alphabet;  ///< cached constellation alphabet
   int alphabet_bits = 0;               ///< cache key: bits per axis
   int alphabet_q = -1;                 ///< cache key: use_q (as int; -1 = invalid)
   std::vector<char> seen_keys;         ///< flat fixed-stride merge keys
-  std::vector<double> slot_scores;     ///< pre-sort candidate scores (soft mode)
 };
 
 class DfeEqualizer {

@@ -90,7 +90,7 @@ TEST(AllocationRegression, CounterObservesOrdinaryAllocations) {
 
 TEST(AllocationRegression, SteadyStatePacketPipelineIsAllocationFree) {
   // The default receiver shape: Q channel on, per-packet online training,
-  // DFE with state merging, scrambled payload, AWGN at moderate SNR.
+  // K-branch DFE without state merging, scrambled payload, AWGN at moderate SNR.
   const auto p = fast_params();
   ChannelConfig ch;
   ch.snr_override_db = 14.0;
@@ -164,6 +164,46 @@ TEST(AllocationRegression, SteadyStatePixelCalibrationPipelineIsAllocationFree) 
   EXPECT_EQ(g_allocs.load(), 0u)
       << "the steady-state pixel-calibration pipeline allocated on the heap ("
       << g_allocs.load() << " allocations across 3 packets)";
+}
+
+TEST(AllocationRegression, SteadyStateMergingSoftDfeIsAllocationFree) {
+  // The DFE's heaviest shape: state merging (full candidate sort, merge
+  // keys read off the survivor trail) with soft output (per-step LLRs on
+  // the trail, traced back once per packet).
+  auto p = fast_params();
+  p.bits_per_axis = 2;
+  p.merge_equalizer_states = true;
+  ChannelConfig ch;
+  ch.snr_override_db = 14.0;
+  ch.noise_seed = 7;
+  SimOptions so;
+  so.seed = 42;
+  so.offline_yaws_deg = {0.0};
+  so.export_soft_bits = true;
+  const LinkSimulator sim(p, p.tag_config(), ch, so);
+
+  PacketWorkspace ws;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const auto out = sim.run_packet(i, 8, ws);
+    ASSERT_TRUE(out.preamble_found) << "packet " << i << " must decode for full-path coverage";
+  }
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  bool all_found = true;
+  std::size_t llrs = 0;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const auto out = sim.run_packet(i, 8, ws);
+    all_found = out.preamble_found && all_found;
+    llrs += out.soft_bits.size();
+  }
+  g_counting.store(false);
+
+  EXPECT_TRUE(all_found);
+  EXPECT_EQ(llrs, 3u * 8u * 8u) << "soft output must cover every payload bit";
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "the steady-state merging soft DFE allocated on the heap (" << g_allocs.load()
+      << " allocations across 3 packets)";
 }
 
 TEST(AllocationRegression, SteadyStateCodedPacketPipelineIsAllocationFree) {

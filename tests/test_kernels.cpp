@@ -16,7 +16,6 @@ namespace {
 
 using rt::kernels::Complex;
 using rt::kernels::CorrStats;
-using rt::kernels::CTerm;
 using rt::kernels::LcBankParams;
 
 // Every size a 4-wide kernel with masked tails can get wrong: empty,
@@ -36,6 +35,41 @@ std::vector<Complex> random_cplx(std::mt19937_64& rng, std::size_t n) {
   for (auto& x : v) x = Complex{dist(rng), dist(rng)};
   return v;
 }
+
+/// NaN samples appended past n: a kernel that reads beyond its span
+/// poisons its output.
+constexpr std::size_t kGarbage = 3;
+
+/// Pre-weighted DFE templates (weight already multiplied in) of length
+/// n + kGarbage each, plus the pointer array the kernels take. With
+/// `denormal`, every template sample is scaled into the subnormal range.
+struct DfeTerms {
+  std::vector<std::vector<Complex>> tmpls;
+  std::vector<const Complex*> ptrs;
+};
+
+DfeTerms dfe_terms(std::mt19937_64& rng, std::size_t n_terms, std::size_t n,
+                   bool denormal = false) {
+  DfeTerms d;
+  d.tmpls.reserve(n_terms);
+  for (std::size_t t = 0; t < n_terms; ++t) {
+    auto tmpl = random_cplx(rng, n);
+    if (denormal)
+      for (auto& v : tmpl) v *= 1e-310;
+    tmpl.resize(n + kGarbage, Complex{std::nan(""), std::nan("")});
+    d.tmpls.push_back(std::move(tmpl));
+    d.ptrs.push_back(d.tmpls.back().data());
+  }
+  return d;
+}
+
+/// `x` followed by kGarbage NaN samples.
+std::vector<Complex> with_garbage(std::vector<Complex> x) {
+  x.resize(x.size() + kGarbage, Complex{std::nan(""), std::nan("")});
+  return x;
+}
+
+const std::vector<std::size_t> kDfeTermCounts = {0, 1, 3, 31, 32, 33};
 
 void expect_rel_close(double a, double b, double tol = 1e-12) {
   const double scale = std::max({std::abs(a), std::abs(b), 1e-30});
@@ -137,29 +171,66 @@ TEST(ScalarKernelsTest, FirDotWalksTapsAscendingOverReversedWindow) {
 
 TEST(ScalarKernelsTest, DfeScoreMatchesResidualPlusNorm) {
   std::mt19937_64 rng(105);
-  for (const std::size_t n_terms : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                                    std::size_t{31}, std::size_t{32}, std::size_t{33}}) {
-    const std::size_t n = 24;
-    const auto residual = random_cplx(rng, n);
-    std::vector<std::vector<Complex>> tmpls;
-    std::vector<CTerm> terms;
-    tmpls.reserve(n_terms);
-    terms.reserve(n_terms);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    for (std::size_t t = 0; t < n_terms; ++t) {
-      tmpls.push_back(random_cplx(rng, n));
-      terms.push_back({tmpls.back().data(), Complex{dist(rng), dist(rng)}});
+  for (const std::size_t n_terms : kDfeTermCounts) {
+    for (const bool denormal : {false, true}) {
+      const std::size_t n = 24;
+      const auto residual = with_garbage(random_cplx(rng, n));
+      const auto d = dfe_terms(rng, n_terms, n, denormal);
+      std::vector<Complex> out(n);
+      rt::kernels::scalar::dfe_residual(n, residual.data(), out.data(), d.ptrs.data(), n_terms);
+      double want = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        Complex e = residual[k];
+        for (std::size_t t = 0; t < n_terms; ++t) e -= d.ptrs[t][k];
+        EXPECT_EQ(out[k], e);
+        want += std::norm(e);
+      }
+      EXPECT_EQ(rt::kernels::scalar::dfe_score(n, residual.data(), d.ptrs.data(), n_terms), want);
     }
-    std::vector<Complex> out(n);
-    rt::kernels::scalar::dfe_residual(n, residual.data(), out.data(), terms.data(), n_terms);
-    double want = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      Complex e = residual[k];
-      for (std::size_t t = 0; t < n_terms; ++t) e -= terms[t].w * terms[t].tmpl[k];
-      EXPECT_EQ(out[k], e);
-      want += std::norm(e);
+  }
+}
+
+TEST(ScalarKernelsTest, PreWeightedTemplateEqualsInlineWeighting) {
+  // The equalizer forms w * tmpl[k] once per call and the kernels only
+  // subtract; for finite inputs (denormals included) that is bit for bit
+  // the old per-term `e -= w * tmpl[k]` chain, on both backends.
+  std::mt19937_64 rng(107);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{20}, std::size_t{33}}) {
+    for (const bool denormal : {false, true}) {
+      const std::size_t n_terms = 4;
+      const auto src = random_cplx(rng, n);
+      std::vector<Complex> w(n_terms);
+      std::vector<std::vector<Complex>> raw(n_terms);
+      std::vector<std::vector<Complex>> pre(n_terms);
+      std::vector<const Complex*> ptrs(n_terms);
+      for (std::size_t t = 0; t < n_terms; ++t) {
+        w[t] = Complex{dist(rng), dist(rng)};
+        raw[t] = random_cplx(rng, n);
+        if (denormal)
+          for (auto& v : raw[t]) v *= 1e-310;
+        pre[t].resize(n);
+        for (std::size_t k = 0; k < n; ++k) pre[t][k] = w[t] * raw[t][k];
+        ptrs[t] = pre[t].data();
+      }
+      std::vector<Complex> inline_out(n);
+      double inline_score = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        Complex e = src[k];
+        for (std::size_t t = 0; t < n_terms; ++t) e -= w[t] * raw[t][k];
+        inline_out[k] = e;
+        inline_score += std::norm(e);
+      }
+      std::vector<Complex> out(n);
+      rt::kernels::scalar::dfe_residual(n, src.data(), out.data(), ptrs.data(), n_terms);
+      EXPECT_EQ(out, inline_out) << "n=" << n;
+      EXPECT_EQ(rt::kernels::scalar::dfe_score(n, src.data(), ptrs.data(), n_terms),
+                inline_score);
+      std::vector<Complex> dispatched(n);
+      rt::kernels::dfe_residual(n, src.data(), dispatched.data(), ptrs.data(), n_terms);
+      EXPECT_EQ(dispatched, inline_out) << "n=" << n << " backend "
+                                        << rt::kernels::backend_name();
     }
-    EXPECT_EQ(rt::kernels::scalar::dfe_score(n, residual.data(), terms.data(), n_terms), want);
   }
 }
 
@@ -434,24 +505,17 @@ TEST(Avx2KernelsTest, LcStepRunFixedPointSkipIsExact) {
 
 TEST(Avx2KernelsTest, DfeResidualIsBitIdenticalIncludingManyTerms) {
   std::mt19937_64 rng(203);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (const std::size_t n_terms : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                                    std::size_t{31}, std::size_t{32}, std::size_t{33}}) {
+  for (const std::size_t n_terms : kDfeTermCounts) {
     for (const std::size_t n : kSizes) {
-      const auto src = random_cplx(rng, n);
-      std::vector<std::vector<Complex>> tmpls;
-      std::vector<CTerm> terms;
-      tmpls.reserve(n_terms);
-      terms.reserve(n_terms);
-      for (std::size_t t = 0; t < n_terms; ++t) {
-        tmpls.push_back(random_cplx(rng, n));
-        terms.push_back({tmpls.back().data(), Complex{dist(rng), dist(rng)}});
+      for (const bool denormal : {false, true}) {
+        const auto src = with_garbage(random_cplx(rng, n));
+        const auto d = dfe_terms(rng, n_terms, n, denormal);
+        std::vector<Complex> s_out(n);
+        std::vector<Complex> v_out(n);
+        rt::kernels::scalar::dfe_residual(n, src.data(), s_out.data(), d.ptrs.data(), n_terms);
+        rt::kernels::avx2::dfe_residual(n, src.data(), v_out.data(), d.ptrs.data(), n_terms);
+        EXPECT_EQ(s_out, v_out) << "n=" << n << " terms=" << n_terms << " denormal=" << denormal;
       }
-      std::vector<Complex> s_out(n);
-      std::vector<Complex> v_out(n);
-      rt::kernels::scalar::dfe_residual(n, src.data(), s_out.data(), terms.data(), n_terms);
-      rt::kernels::avx2::dfe_residual(n, src.data(), v_out.data(), terms.data(), n_terms);
-      EXPECT_EQ(s_out, v_out) << "n=" << n << " terms=" << n_terms;
     }
   }
 }
@@ -504,17 +568,12 @@ TEST(Avx2KernelsTest, ReductionsAgreeWithin1em12Relative) {
           rt::kernels::avx2::fir_dot_real(n, a.data(), taps_rev.data(), b.data()));
     }
 
-    std::vector<std::vector<Complex>> tmpls;
-    std::vector<CTerm> terms;
-    const std::size_t n_terms = 5;
-    tmpls.reserve(n_terms);
-    terms.reserve(n_terms);
-    for (std::size_t t = 0; t < n_terms; ++t) {
-      tmpls.push_back(random_cplx(rng, n));
-      terms.push_back({tmpls.back().data(), Complex{dist(rng), dist(rng)}});
+    for (const std::size_t n_terms : kDfeTermCounts) {
+      const auto src = with_garbage(ca);
+      const auto d = dfe_terms(rng, n_terms, n);
+      expect_rel_close(rt::kernels::scalar::dfe_score(n, src.data(), d.ptrs.data(), n_terms),
+                       rt::kernels::avx2::dfe_score(n, src.data(), d.ptrs.data(), n_terms));
     }
-    expect_rel_close(rt::kernels::scalar::dfe_score(n, ca.data(), terms.data(), n_terms),
-                     rt::kernels::avx2::dfe_score(n, ca.data(), terms.data(), n_terms));
   }
 }
 

@@ -479,6 +479,45 @@ TEST(Equalizer, StateMergingMatchesPlainBeamWhenKLarge) {
   EXPECT_LE(b.ber, a.ber + 0.02);
 }
 
+TEST(Equalizer, ExactTiesKeepTheLowestCandidateIndices) {
+  // A zero bank and a zero waveform tie every candidate at metric 0.
+  // Survivor order is (metric, candidate index), so each slot keeps the K
+  // lowest indices -- the first K alphabet entries of branch 0 -- and the
+  // winner is branch 0 all the way: alphabet[0] at every slot. Exact ties
+  // must never fall to the sort algorithm's internals.
+  auto p = PhyParams::rate_8kbps();
+  p.equalizer_branches = 4;  // K < P = 16
+  const std::size_t k_branches = 4;
+  const PulseBank bank(2 * p.dsm_order, p.fingerprint_entries(), p.samples_per_symbol());
+  const int n_slots = 6;
+  const sig::IqWaveform rx(p.sample_rate_hz,
+                           p.samples_per_symbol() + n_slots * p.samples_per_slot());
+  const std::vector<unsigned> hist(static_cast<std::size_t>(2 * p.dsm_order * p.bits_per_axis),
+                                   0U);
+  const auto alphabet = Constellation(p.bits_per_axis, true).alphabet();
+  for (const bool merge : {false, true}) {
+    SCOPED_TRACE(merge ? "merging" : "plain");
+    p.merge_equalizer_states = merge;
+    const DfeEqualizer eq(p, bank);
+    EqualizerWorkspace ws;
+    EqualizerResult out;
+    eq.equalize_into(rx, 0, n_slots, hist, ws, out, /*soft_output=*/true);
+    ASSERT_EQ(out.symbols.size(), static_cast<std::size_t>(n_slots));
+    for (const auto& sym : out.symbols) EXPECT_EQ(sym, alphabet[0]);
+    EXPECT_EQ(out.final_metric, 0.0);
+    for (const float llr : out.soft_bits) EXPECT_EQ(llr, 0.0f);
+    // Survivor i ends in alphabet[i] and descends from survivor 0 of the
+    // previous slot.
+    ASSERT_EQ(ws.n_cur, k_branches);
+    const std::size_t parent = ws.trail[ws.cur[0].step].prev;
+    for (std::size_t i = 0; i < k_branches; ++i) {
+      const auto& step = ws.trail[ws.cur[i].step];
+      EXPECT_EQ(step.sym, alphabet[i]) << "survivor " << i;
+      EXPECT_EQ(step.prev, parent) << "survivor " << i;
+    }
+  }
+}
+
 TEST(Training, OnlineReconstructionMatchesOracleTemplates) {
   auto p = test_params();
   auto tag_cfg = p.tag_config();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -311,6 +312,92 @@ TEST(PacketPipeline, ModulateIntoReplaysPrefixAcrossPayloads) {
     }
     EXPECT_EQ(ref.payload_symbol_count, reused.payload_symbol_count);
     EXPECT_EQ(ref.duration_s, reused.duration_s);
+  }
+}
+
+/// FNV-1a over raw bytes, chained through `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Equalizer, OutputsPinnedAcrossConfigurations) {
+  // FNV-1a hashes of the DFE's hard bits and soft LLRs through the whole
+  // packet pipeline, one row per receiver shape the equalizer branches on
+  // (rate, K, state merging, basic-DSM rest slots, single polarization,
+  // pixel gains). The expectations were recorded before the DFE's inner
+  // loops were restructured; any change to the arithmetic or to survivor
+  // selection moves a hash. They were recorded on both kernel backends,
+  // which agree on every row: the AVX2 dfe_score reassociates its sum,
+  // but that moves no decision and no float LLR here.
+  struct Case {
+    const char* name;
+    phy::PhyParams params;
+    int model;  ///< index into `models`
+    bool heterogeneous;
+    std::uint64_t bits_hash;
+    std::uint64_t llr_hash;
+  };
+  const auto r8 = phy::PhyParams::rate_8kbps();
+  auto r8_merge16 = r8;
+  r8_merge16.merge_equalizer_states = true;
+  auto r8_merge64 = r8_merge16;
+  r8_merge64.equalizer_branches = 64;
+  auto r8_k1 = r8;
+  r8_k1.equalizer_branches = 1;
+  auto r8_basic = r8;
+  r8_basic.basic_rest_slots = 3;
+  auto r8_no_q = r8;
+  r8_no_q.use_q_channel = false;
+  auto r8_pixel = r8;
+  r8_pixel.pixel_calibration = true;
+  const Case cases[] = {
+      {"8kbps", r8, 0, false, 0xa5d0cc6a0a65e18eULL, 0xd9fc784826d1ce6fULL},
+      {"4kbps", phy::PhyParams::rate_4kbps(), 1, false,
+        0x4296e30fe1d1d8eaULL, 0x6c50b46939cc2387ULL},
+      {"16kbps", phy::PhyParams::rate_16kbps(), 2, false,
+        0x62bf6f5d78942317ULL, 0xdceca684b3c3ea22ULL},
+      {"8kbps_merge_k16", r8_merge16, 0, false, 0xa5d0cc6a0a65e18eULL, 0xd9fc784826d1ce6fULL},
+      {"8kbps_merge_k64", r8_merge64, 0, false, 0x11b829edd342aa8cULL, 0xd2d1ee34913b0c1eULL},
+      {"8kbps_k1", r8_k1, 0, false, 0x6cd99e226cef09f5ULL, 0x0fa5e59f7e303449ULL},
+      {"8kbps_basic_dsm", r8_basic, 0, false, 0xdf9ca8dde7df0cf7ULL, 0xca0bd513875d7682ULL},
+      {"8kbps_no_q", r8_no_q, 0, false, 0x4296e30fe1d1d8eaULL, 0xe403ee53ad6df080ULL},
+      {"8kbps_pixel_calibration", r8_pixel, 0, true, 0xce35c569a0710bc7ULL, 0x5ccfa9157b54222cULL},
+  };
+  // One offline model per PHY rate, shared by every receiver variant of it.
+  const phy::OfflineModel models[] = {
+      train_offline_model(r8, r8.tag_config()),
+      train_offline_model(phy::PhyParams::rate_4kbps(),
+                          phy::PhyParams::rate_4kbps().tag_config()),
+      train_offline_model(phy::PhyParams::rate_16kbps(),
+                          phy::PhyParams::rate_16kbps().tag_config()),
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto tag = c.params.tag_config();
+    if (c.heterogeneous) tag.heterogeneity = {0.06, 0.0, 0.0};
+    SimOptions so;
+    so.seed = 42;
+    so.export_soft_bits = true;
+    so.shared_offline_model = models[c.model];
+    const LinkSimulator sim(c.params, tag, fast_channel(16.0, 21), so);
+    PacketWorkspace ws;
+    std::uint64_t bits_hash = 0xcbf29ce484222325ULL;
+    std::uint64_t llr_hash = 0xcbf29ce484222325ULL;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const auto out = sim.run_packet(i, 12, ws);
+      ASSERT_TRUE(out.preamble_found) << "packet " << i;
+      ASSERT_EQ(ws.result.soft_bits.size(), ws.result.bits.size());
+      bits_hash = fnv1a(bits_hash, ws.result.bits.data(), ws.result.bits.size());
+      llr_hash = fnv1a(llr_hash, ws.result.soft_bits.data(),
+                       ws.result.soft_bits.size() * sizeof(float));
+    }
+    EXPECT_EQ(bits_hash, c.bits_hash);
+    EXPECT_EQ(llr_hash, c.llr_hash);
   }
 }
 
