@@ -4,8 +4,11 @@
 // Runs the full MAC stack: slotted-ALOHA tag discovery, SNR-based rate
 // adaptation from the paper's operating points, TDMA polling, and CRC +
 // stop-and-wait delivery of sensor readings over the real PHY simulator.
+#include <algorithm>
 #include <cstdio>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -58,11 +61,12 @@ int main() {
     tags.push_back({i, rng.uniform(1.0, 4.3), rng.uniform(0.0, 180.0)});
 
   // Phase 1: discovery (framed slotted ALOHA, adaptive frame size).
-  std::vector<std::uint8_t> ids;
+  std::vector<std::uint32_t> ids;
   for (const auto& t : tags) ids.push_back(t.id);
-  const auto discovery = rt::mac::discover_tags(ids, /*frame_slots=*/0, rng);
-  std::printf("discovered %zu tags in %d rounds\n\n", discovery.discovered.size(),
-              discovery.rounds);
+  std::vector<std::uint32_t> found_round(tags.size() + 1, 0);  // indexed by id (1-based)
+  const auto discovery = rt::mac::discover_tags(ids, rng.engine()(), 0, found_round);
+  std::printf("discovered %zu tags in %d rounds (%llu collision slots)\n\n", ids.size(),
+              discovery.rounds, static_cast<unsigned long long>(discovery.collision_slots));
 
   // Phase 2: per-tag rate assignment from measured SNR.
   std::printf("%-5s %-10s %-9s %-26s\n", "tag", "dist (m)", "SNR (dB)", "assigned rate");
@@ -76,8 +80,12 @@ int main() {
 
   // Phase 3: TDMA polling round -- every tag uploads one sensor frame
   // through the real PHY at its own simulated pose.
+  // Slots follow discovery order: by round found, then by id.
+  std::vector<std::pair<std::uint32_t, std::uint8_t>> order;
+  for (const auto& t : tags) order.emplace_back(found_round[t.id], t.id);
+  std::sort(order.begin(), order.end());
   rt::mac::TdmaScheduler tdma;
-  for (const auto id : discovery.discovered) tdma.register_tag(id);
+  for (const auto& [round, id] : order) tdma.register_tag(id);
   std::printf("\nTDMA round (airtime share %.1f%% per tag):\n", 100.0 * tdma.airtime_share());
 
   const auto phy = demo_phy();

@@ -11,8 +11,8 @@
 // (runtime/batch.h, the parallel_sweep pattern):
 //
 //   Phase D  (parallel over readers)  -- shard discovery. Each reader
-//     runs slotted-ALOHA rounds over its own shard; round k of reader r
-//     draws from the disjoint stream split_seed(seed, r, D + k).
+//     runs mac::discover_tags over its own shard with stream r, so round
+//     k of reader r draws from split_seed(seed, r, D + k).
 //   Phase E  (repeated per epoch):
 //     E.1 (parallel over reader x round-batch) -- inventory rounds. Rate
 //       assignments are frozen for the epoch, so every round is a pure
@@ -41,6 +41,7 @@
 #include "mac/goodput.h"
 #include "mac/rate_controller.h"
 #include "mac/rate_table.h"
+#include "mac/tdma.h"
 #include "obs/trace.h"
 #include "runtime/batch.h"
 
@@ -48,10 +49,11 @@ namespace rt::fleet {
 
 namespace detail {
 /// Seed-stream bases: tag placement uses stream b = 0 (geometry.h),
-/// discovery round k of reader r uses b = kDiscoveryStreamBase + k, and
-/// data round g uses b = kDataStreamBase + g -- disjoint by construction.
-inline constexpr std::uint64_t kDiscoveryStreamBase = std::uint64_t{1} << 20;
+/// discovery round k of reader r uses b = mac::kDiscoveryStreamBase + k
+/// (mac/tdma.h), and data round g uses b = kDataStreamBase + g.
 inline constexpr std::uint64_t kDataStreamBase = std::uint64_t{1} << 21;
+static_assert(mac::kDiscoveryStreamBase + mac::kMaxDiscoveryRounds < kDataStreamBase,
+              "discovery and data seed-stream windows must be disjoint");
 }  // namespace detail
 
 struct FleetConfig {
@@ -63,8 +65,6 @@ struct FleetConfig {
   int epochs = 4;                 ///< controller merge points
   int rounds_per_epoch = 25;      ///< inventory rounds between merges
   int batch_rounds = 8;           ///< rounds per pool task
-  int discovery_frame_slots = 0;  ///< 0 = adaptive: max(remaining, 2)
-  int discovery_max_rounds = 4096;
   std::size_t payload_bytes = 16;  ///< uplink payload per inventory slot
   double estimate_noise_db = 0.8;  ///< reader-side SNR-estimate jitter (PR 5)
   mac::RateControllerConfig controller{};
@@ -122,10 +122,6 @@ struct FleetResult {
   RT_ENSURE(cfg.rounds_per_epoch >= 1, "fleet campaign needs at least one round per epoch");
   RT_ENSURE(cfg.batch_rounds >= 1, "fleet batch_rounds must be positive");
   RT_ENSURE(cfg.payload_bytes >= 1, "fleet payload cannot be empty");
-  RT_ENSURE(cfg.discovery_max_rounds >= 1 &&
-                static_cast<std::uint64_t>(cfg.discovery_max_rounds) <
-                    detail::kDataStreamBase - detail::kDiscoveryStreamBase,
-            "discovery_max_rounds outside the discovery seed-stream window");
   RT_ENSURE(static_cast<std::uint64_t>(cfg.epochs) *
                     static_cast<std::uint64_t>(cfg.rounds_per_epoch) <
                 detail::kDataStreamBase,
@@ -167,11 +163,9 @@ struct FleetResult {
   }
 
   // --- Phase D: shard discovery, one task per reader. ---
-  struct DiscoveryOut {
-    int rounds = 0;
-    std::uint64_t collision_slots = 0;
-  };
-  std::vector<DiscoveryOut> disc(readers);
+  // Shards partition the tag ids, so the tasks' discovery_round writes
+  // stay disjoint.
+  std::vector<mac::DiscoveryResult> disc(readers);
   {
     std::vector<std::function<runtime::BatchObs()>> tasks;
     tasks.reserve(readers);
@@ -180,46 +174,10 @@ struct FleetResult {
         return runtime::record_batch([&] {
           RT_TRACE_SPAN("fleet_discovery");
           const auto& shard = dep.shards[r];
-          std::vector<std::uint32_t> remaining(shard.begin(), shard.end());
-          std::vector<std::uint32_t> next;
-          std::vector<std::uint32_t> slot_of;
-          std::vector<std::uint32_t> occupancy;
-          int round = 0;
-          while (!remaining.empty() && round < cfg.discovery_max_rounds) {
-            ++round;
-            RT_OBS_COUNT(kMacDiscoveryRounds, 1);
-            Rng rng(split_seed(cfg.seed, static_cast<std::uint64_t>(r),
-                               detail::kDiscoveryStreamBase +
-                                   static_cast<std::uint64_t>(round)));
-            const std::size_t frame =
-                cfg.discovery_frame_slots > 0
-                    ? static_cast<std::size_t>(cfg.discovery_frame_slots)
-                    : std::max<std::size_t>(remaining.size(), 2);
-            occupancy.assign(frame, 0);
-            slot_of.resize(remaining.size());
-            for (std::size_t i = 0; i < remaining.size(); ++i) {
-              slot_of[i] = narrow_cast<std::uint32_t>(
-                  rng.uniform_int(0, static_cast<std::int64_t>(frame) - 1));
-              ++occupancy[slot_of[i]];
-            }
-            next.clear();
-            for (std::size_t i = 0; i < remaining.size(); ++i) {
-              if (occupancy[slot_of[i]] == 1) {
-                // Shards partition the tag ids, so writes stay disjoint
-                // across the per-reader tasks.
-                out.discovery_round[remaining[i]] = narrow_cast<std::uint32_t>(round);
-                RT_OBS_COUNT(kFleetTagsDiscovered, 1);
-                RT_OBS_OBSERVE(kFleetDiscoveryRound, static_cast<double>(round));
-              } else {
-                next.push_back(remaining[i]);
-              }
-            }
-            for (std::size_t s = 0; s < frame; ++s)
-              if (occupancy[s] > 1) ++disc[r].collision_slots;
-            remaining.swap(next);
-          }
-          RT_ENSURE(remaining.empty(), "fleet discovery exceeded discovery_max_rounds");
-          disc[r].rounds = round;
+          disc[r] = mac::discover_tags(shard, cfg.seed, r, out.discovery_round);
+          RT_OBS_COUNT(kFleetTagsDiscovered, shard.size());
+          for (const std::uint32_t id : shard)
+            RT_OBS_OBSERVE(kFleetDiscoveryRound, static_cast<double>(out.discovery_round[id]));
         });
       });
     }

@@ -18,9 +18,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
-#include "common/narrow.h"
 #include "common/rng.h"
 #include "mac/goodput.h"
 #include "mac/rate_table.h"
@@ -36,10 +36,9 @@ struct NetworkStudyConfig {
   double max_distance_m = 4.3;
   std::size_t payload_bytes = 128;
   int trials = 100;
-  std::size_t discovery_frame_slots = 0;  // 0 = adaptive frame size
-  int arq_packets_per_tag = 4;            ///< telemetry exchange length
-  int arq_max_attempts = 8;               ///< stop-and-wait retry cap
-  std::uint64_t telemetry_seed = 777;     ///< ARQ stream, split per trial
+  int arq_packets_per_tag = 4;         ///< telemetry exchange length
+  int arq_max_attempts = 8;            ///< stop-and-wait retry cap
+  std::uint64_t telemetry_seed = 777;  ///< ARQ stream, split per trial
 };
 
 /// Accumulated per-tag-index counters. All fields are plain sums, so
@@ -98,6 +97,7 @@ struct NetworkStudyResult {
                                                               const NetworkStudyConfig& cfg,
                                                               Rng& rng) {
   RT_ENSURE(num_tags >= 1, "need at least one tag");
+  RT_ENSURE(cfg.trials >= 1, "need at least one trial");
   RT_ENSURE(cfg.arq_max_attempts >= 1, "ARQ needs at least one attempt");
   NetworkStudyResult out;
   out.tags = num_tags;
@@ -105,23 +105,22 @@ struct NetworkStudyResult {
   double sum_adaptive = 0.0;
   double sum_baseline = 0.0;
   double sum_rounds = 0.0;
+  std::vector<std::uint32_t> ids(static_cast<std::size_t>(num_tags));
+  std::iota(ids.begin(), ids.end(), 0U);
+  std::vector<std::uint32_t> found_round(ids.size());
+  std::vector<double> snrs(ids.size());
   for (int trial = 0; trial < cfg.trials; ++trial) {
     // Place tags and compute their SNRs.
-    std::vector<double> snrs(num_tags);
-    std::vector<std::uint8_t> ids(num_tags);
-    for (int i = 0; i < num_tags; ++i) {
-      const double d = rng.uniform(cfg.min_distance_m, cfg.max_distance_m);
-      snrs[i] = cfg.budget.snr_db_at(d);
-      ids[i] = narrow<std::uint8_t>(i);
-    }
-    // Discovery (adds protocol fidelity + the rounds metric).
-    const auto disc = discover_tags(ids, cfg.discovery_frame_slots, rng);
+    for (double& snr : snrs)
+      snr = cfg.budget.snr_db_at(rng.uniform(cfg.min_distance_m, cfg.max_distance_m));
+    // Discovery (adds protocol fidelity + the rounds metric), seeded by
+    // one draw of the study Rng the way Rng::fork seeds a child.
+    const auto disc = discover_tags(ids, rng.engine()(), 0, found_round);
     sum_rounds += disc.rounds;
-    RT_OBS_COUNT(kMacDiscoveryRounds, static_cast<std::uint64_t>(disc.rounds));
-    for (std::size_t k = 0; k < disc.discovered.size(); ++k) {
-      auto& tel = out.per_tag[disc.discovered[k]];
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      auto& tel = out.per_tag[i];
       ++tel.trials;
-      tel.discovery_rounds += static_cast<std::uint64_t>(disc.discovery_round[k]);
+      tel.discovery_rounds += found_round[i];
     }
 
     // TDMA gives every tag an equal airtime share; mean per-tag goodput.

@@ -1,12 +1,15 @@
 // TDMA scheduling and RFID-style tag discovery (paper section 4.4).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
+#include "common/narrow.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 
 namespace rt::mac {
 
@@ -40,40 +43,60 @@ class TdmaScheduler {
   std::vector<std::uint8_t> tags_;
 };
 
-/// Framed slotted-ALOHA discovery, as in RFID inventory: each round the
-/// reader opens a frame of response slots; undiscovered tags pick one
-/// uniformly; singleton slots are discovered and acknowledged.
-/// `frame_slots` = 0 selects the adaptive (Q-algorithm-style) frame size,
-/// matching the remaining population -- necessary for large fleets, since
-/// a fixed small frame's singleton probability collapses as n grows.
+/// Seed-stream window of discovery: round k draws from sub-stream
+/// kDiscoveryStreamBase + k, clear of placement (b = 0) and of the
+/// fleet's data rounds (fleet/campaign.h).
+inline constexpr std::uint64_t kDiscoveryStreamBase = std::uint64_t{1} << 20;
+inline constexpr int kMaxDiscoveryRounds = 4096;
+
 struct DiscoveryResult {
   int rounds = 0;
-  std::vector<std::uint8_t> discovered;  ///< in discovery order
-  std::vector<int> discovery_round;      ///< 1-based round each tag was found in
+  std::uint64_t collision_slots = 0;  ///< slots answered by two or more tags
 };
 
-[[nodiscard]] inline DiscoveryResult discover_tags(const std::vector<std::uint8_t>& tag_ids,
-                                                   std::size_t frame_slots, Rng& rng,
-                                                   int max_rounds = 1000) {
+/// Framed slotted-ALOHA discovery, as in RFID inventory: each round the
+/// reader opens a frame of max(remaining, 2) response slots (the backlog
+/// is known exactly here; a real reader estimates it); undiscovered tags
+/// pick one uniformly; singleton slots are discovered and acknowledged.
+/// Round k draws from split_seed(seed, stream, kDiscoveryStreamBase + k),
+/// so the outcome is a pure function of (tags, seed, stream). Writes the
+/// 1-based round each tag was found in to found_round[tag]; other
+/// entries are left untouched.
+[[nodiscard]] inline DiscoveryResult discover_tags(std::span<const std::uint32_t> tags,
+                                                   std::uint64_t seed, std::uint64_t stream,
+                                                   std::span<std::uint32_t> found_round) {
+  for (const std::uint32_t id : tags)
+    RT_ENSURE(id < found_round.size(), "tag id outside found_round");
   DiscoveryResult out;
-  std::set<std::uint8_t> remaining(tag_ids.begin(), tag_ids.end());
-  while (!remaining.empty() && out.rounds < max_rounds) {
+  std::vector<std::uint32_t> remaining(tags.begin(), tags.end());
+  std::vector<std::uint32_t> next;
+  std::vector<std::uint32_t> slot_of;
+  std::vector<std::uint32_t> occupancy;
+  while (!remaining.empty() && out.rounds < kMaxDiscoveryRounds) {
     ++out.rounds;
-    const std::size_t slots_this_round =
-        frame_slots > 0 ? frame_slots : std::max<std::size_t>(remaining.size(), 2);
-    std::vector<std::vector<std::uint8_t>> slots(slots_this_round);
-    for (const auto id : remaining)
-      slots[static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(slots_this_round) - 1))]
-          .push_back(id);
-    for (const auto& slot : slots) {
-      if (slot.size() != 1) continue;  // empty or collision
-      out.discovered.push_back(slot.front());
-      out.discovery_round.push_back(out.rounds);
-      remaining.erase(slot.front());
+    const auto round = narrow_cast<std::uint32_t>(out.rounds);
+    Rng rng(split_seed(seed, stream, kDiscoveryStreamBase + round));
+    const std::size_t frame = std::max<std::size_t>(remaining.size(), 2);
+    occupancy.assign(frame, 0);
+    slot_of.resize(remaining.size());
+    for (std::size_t i = 0; i < remaining.size(); ++i) {
+      slot_of[i] = narrow_cast<std::uint32_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(frame) - 1));
+      ++occupancy[slot_of[i]];
     }
+    next.clear();
+    for (std::size_t i = 0; i < remaining.size(); ++i) {
+      if (occupancy[slot_of[i]] == 1)
+        found_round[remaining[i]] = round;
+      else
+        next.push_back(remaining[i]);
+    }
+    for (const std::uint32_t n : occupancy)
+      if (n > 1) ++out.collision_slots;
+    remaining.swap(next);
   }
-  RT_ENSURE(remaining.empty(), "discovery did not converge within max_rounds");
+  RT_ENSURE(remaining.empty(), "discovery did not converge within kMaxDiscoveryRounds");
+  RT_OBS_COUNT(kMacDiscoveryRounds, static_cast<std::uint64_t>(out.rounds));
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Tests for the extension modules: SNR estimation, AGC, ADC quantization,
-// Stokes/Mueller polarization calculus, the downlink/inventory protocol,
-// the block interleaver and the convolutional code.
+// Stokes/Mueller polarization calculus, the block interleaver and the
+// convolutional code.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "common/units.h"
 #include "frontend/adc.h"
 #include "frontend/agc.h"
-#include "mac/inventory.h"
 #include "optics/polarization.h"
 #include "optics/stokes.h"
 #include "signal/awgn.h"
@@ -195,72 +194,6 @@ TEST(Stokes, RotatorShiftsLinearAngle) {
   const auto out = optics::Mueller::rotator(rt::deg_to_rad(35.0)) * in;
   EXPECT_NEAR(rt::rad_to_deg(out.linear_angle_rad()), 45.0, 1e-9);
   EXPECT_NEAR(out.i, 2.0, 1e-12);  // rotation is lossless
-}
-
-// ----------------------------------------------------- downlink/inv --
-
-TEST(Downlink, TagStateMachineHappyPath) {
-  Rng rng(11);
-  mac::TagProtocol tag(7, rng);
-  EXPECT_EQ(tag.state(), mac::TagState::kReady);
-  // Query with 1 slot: the tag must reply immediately.
-  const auto r = tag.on_command({mac::DownlinkType::kQuery, 0, 1, 0, 0});
-  EXPECT_TRUE(r.replies_with_id);
-  EXPECT_EQ(tag.state(), mac::TagState::kReplied);
-  (void)tag.on_command({mac::DownlinkType::kAck, 7, 0, 0, 0});
-  EXPECT_EQ(tag.state(), mac::TagState::kInventoried);
-  // Rate assignment sticks; polls produce data.
-  (void)tag.on_command({mac::DownlinkType::kRateAssign, 7, 0, 3, 1});
-  EXPECT_EQ(tag.rate_code(), 3);
-  EXPECT_TRUE(tag.on_command({mac::DownlinkType::kPoll, 7, 0, 0, 0}).sends_data);
-  // Commands addressed to other tags are ignored.
-  EXPECT_FALSE(tag.on_command({mac::DownlinkType::kPoll, 8, 0, 0, 0}).sends_data);
-}
-
-TEST(Downlink, UnackedTagRejoinsNextFrame) {
-  Rng rng(13);
-  mac::TagProtocol tag(9, rng);
-  (void)tag.on_command({mac::DownlinkType::kQuery, 0, 1, 0, 0});
-  EXPECT_EQ(tag.state(), mac::TagState::kReplied);
-  // No Ack (collision); QueryRep moves it back to ready.
-  (void)tag.on_command({mac::DownlinkType::kQueryRep, 0, 0, 0, 0});
-  EXPECT_EQ(tag.state(), mac::TagState::kReady);
-}
-
-TEST(Inventory, DiscoversEveryTagViaCommands) {
-  Rng rng(17);
-  std::vector<mac::TagProtocol> tags;
-  std::vector<double> snrs;
-  for (std::uint8_t i = 1; i <= 25; ++i) {
-    tags.emplace_back(i, rng);
-    snrs.push_back(20.0 + i);
-  }
-  const auto table = mac::RateTable::paper_default();
-  const mac::GoodputModel model;
-  const auto out = mac::run_inventory(tags, snrs, table, model, {}, rng);
-  EXPECT_EQ(out.discovered.size(), tags.size());
-  for (const auto& t : tags) EXPECT_EQ(t.state(), mac::TagState::kInventoried);
-  EXPECT_GT(out.collisions, 0);  // 25 tags in adaptive frames collide sometimes
-  // Every tag got a rate assignment.
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    const auto& opt = model.best_option(table, snrs[i]);
-    EXPECT_EQ(tags[i].rate_code(), static_cast<std::uint8_t>(&opt - table.all().data())) << i;
-  }
-}
-
-TEST(Inventory, SurvivesDownlinkLoss) {
-  Rng rng(19);
-  std::vector<mac::TagProtocol> tags;
-  std::vector<double> snrs;
-  for (std::uint8_t i = 1; i <= 10; ++i) {
-    tags.emplace_back(i, rng);
-    snrs.push_back(30.0);
-  }
-  mac::InventoryConfig cfg;
-  cfg.downlink_loss = 0.1;
-  const auto out = mac::run_inventory(tags, snrs, mac::RateTable::paper_default(),
-                                      mac::GoodputModel{}, cfg, rng);
-  EXPECT_EQ(out.discovered.size(), tags.size());
 }
 
 // -------------------------------------------------------- interleaver --

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "fleet/campaign.h"
 #include "fleet/collision.h"
 #include "fleet/geometry.h"
@@ -238,6 +239,54 @@ TEST(FleetCampaignTest, ThousandTagsFourReadersConverges) {
   std::uint64_t shard_sum = 0;
   for (const ReaderOutcome& o : r.readers) shard_sum += o.shard_tags;
   EXPECT_EQ(shard_sum, 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// discovery pin: shard discovery is a pure function of (seed, reader,
+// round), so a refactor of the discovery code must leave its outcome
+// bit-identical. The expectations were recorded before discovery moved
+// into mac::discover_tags; only a deliberate protocol change (such as a
+// backlog estimator) may re-record them.
+
+std::uint64_t discovery_fingerprint(const FleetResult& r) {
+  std::uint64_t h = 0;
+  const auto fold = [&h](std::uint64_t v) { h = mix_seed(h ^ v); };
+  for (const std::uint32_t round : r.discovery_round) fold(round);
+  for (const ReaderOutcome& o : r.readers) {
+    fold(static_cast<std::uint64_t>(o.discovery_rounds));
+    fold(o.discovery_collision_slots);
+  }
+  return h;
+}
+
+/// Per-reader (discovery_rounds, discovery_collision_slots).
+std::vector<std::pair<int, std::uint64_t>> discovery_counts(const FleetResult& r) {
+  std::vector<std::pair<int, std::uint64_t>> out;
+  for (const ReaderOutcome& o : r.readers)
+    out.emplace_back(o.discovery_rounds, o.discovery_collision_slots);
+  return out;
+}
+
+TEST(FleetCampaignTest, DiscoveryOutcomeIsPinned) {
+  const auto table = mac::RateTable::paper_default();
+  const mac::GoodputModel model;
+
+  FleetConfig coordinated;
+  coordinated.deployment = small_deployment(4, 1000);
+  coordinated.epochs = 1;
+  coordinated.rounds_per_epoch = 1;
+  coordinated.seed = 2026;
+  const FleetResult a = run_fleet_campaign(table, model, coordinated);
+  EXPECT_EQ(discovery_fingerprint(a), 4841500130077104424ULL);
+  EXPECT_EQ(discovery_counts(a),
+            (std::vector<std::pair<int, std::uint64_t>>{{9, 127}, {11, 183}, {11, 159}, {12, 208}}));
+
+  FleetConfig uncoordinated = small_campaign(3, 200);
+  uncoordinated.coordinate_readers = false;
+  const FleetResult b = run_fleet_campaign(table, model, uncoordinated);
+  EXPECT_EQ(discovery_fingerprint(b), 11598151476685024054ULL);
+  EXPECT_EQ(discovery_counts(b),
+            (std::vector<std::pair<int, std::uint64_t>>{{8, 46}, {10, 30}, {8, 46}}));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 // MacLink path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -72,39 +74,63 @@ TEST(Tdma, RoundRobinOwnership) {
   EXPECT_THROW(s.register_tag(10), PreconditionError);
 }
 
+std::vector<std::uint32_t> tag_ids(std::uint32_t n) {
+  std::vector<std::uint32_t> ids(n);
+  for (std::uint32_t i = 0; i < n; ++i) ids[i] = i;
+  return ids;
+}
+
 TEST(Discovery, FindsAllTags) {
-  Rng rng(3);
-  std::vector<std::uint8_t> ids;
-  for (int i = 0; i < 30; ++i) ids.push_back(static_cast<std::uint8_t>(i));
-  const auto r = discover_tags(ids, 16, rng);
-  EXPECT_EQ(r.discovered.size(), ids.size());
-  EXPECT_GE(r.rounds, 2);  // 30 tags cannot fit 16 singleton slots in one round
+  const auto ids = tag_ids(30);
+  std::vector<std::uint32_t> found(ids.size(), 0);
+  const auto r = discover_tags(ids, 3, 0, found);
+  EXPECT_GE(r.rounds, 2);  // 30 tags almost never all land in singleton slots at once
+  for (const std::uint32_t round : found) {
+    EXPECT_GE(round, 1u);
+    EXPECT_LE(round, static_cast<std::uint32_t>(r.rounds));
+  }
 }
 
 TEST(Discovery, SingleTagOneRound) {
-  Rng rng(4);
-  const auto r = discover_tags({5}, 8, rng);
+  const std::vector<std::uint32_t> ids{5};
+  std::vector<std::uint32_t> found(8, 0);
+  const auto r = discover_tags(ids, 4, 0, found);
   EXPECT_EQ(r.rounds, 1);
-  EXPECT_EQ(r.discovered, std::vector<std::uint8_t>{5});
-  EXPECT_EQ(r.discovery_round, std::vector<int>{1});
+  EXPECT_EQ(r.collision_slots, 0u);
+  // Only the discovered tag's entry is written.
+  EXPECT_EQ(found, (std::vector<std::uint32_t>{0, 0, 0, 0, 0, 1, 0, 0}));
 }
 
 TEST(Discovery, RecordsPerTagRound) {
-  Rng rng(9);
-  std::vector<std::uint8_t> ids;
-  for (int i = 0; i < 20; ++i) ids.push_back(static_cast<std::uint8_t>(i));
-  const auto r = discover_tags(ids, 4, rng);  // small frame forces collisions
-  ASSERT_EQ(r.discovery_round.size(), r.discovered.size());
-  // Rounds are recorded in discovery order, so they are non-decreasing,
-  // start at >= 1, and end at the total round count.
-  for (std::size_t k = 0; k < r.discovery_round.size(); ++k) {
-    EXPECT_GE(r.discovery_round[k], 1);
-    EXPECT_LE(r.discovery_round[k], r.rounds);
-    if (k > 0) {
-      EXPECT_GE(r.discovery_round[k], r.discovery_round[k - 1]);
-    }
+  const auto ids = tag_ids(64);
+  std::vector<std::uint32_t> found(ids.size(), 0);
+  const auto r = discover_tags(ids, 9, 0, found);
+  EXPECT_GT(r.rounds, 1);
+  EXPECT_GT(r.collision_slots, 0u);
+  // Every tag is found in some round in [1, rounds], and the last round
+  // resolves at least one tag.
+  for (const std::uint32_t round : found) {
+    EXPECT_GE(round, 1u);
+    EXPECT_LE(round, static_cast<std::uint32_t>(r.rounds));
   }
-  EXPECT_EQ(r.discovery_round.back(), r.rounds);
+  EXPECT_EQ(*std::max_element(found.begin(), found.end()),
+            static_cast<std::uint32_t>(r.rounds));
+  // A pure function of (tags, seed, stream): the same call repeats
+  // exactly, another stream draws differently.
+  std::vector<std::uint32_t> again(ids.size(), 0);
+  const auto r2 = discover_tags(ids, 9, 0, again);
+  EXPECT_EQ(r2.rounds, r.rounds);
+  EXPECT_EQ(r2.collision_slots, r.collision_slots);
+  EXPECT_EQ(again, found);
+  std::vector<std::uint32_t> other(ids.size(), 0);
+  static_cast<void>(discover_tags(ids, 9, 1, other));
+  EXPECT_NE(other, found);
+}
+
+TEST(Discovery, RejectsTagIdOutsideFoundRound) {
+  const std::vector<std::uint32_t> ids{0, 4};
+  std::vector<std::uint32_t> found(4, 0);
+  EXPECT_THROW(static_cast<void>(discover_tags(ids, 1, 0, found)), PreconditionError);
 }
 
 TEST(RateTableTest, SelectsByThresholdAndRate) {
@@ -283,6 +309,32 @@ TEST(Network, RateAdaptationGainGrowsWithTags) {
   EXPECT_LT(r4.gain(), 3.0);
   EXPECT_GT(r100.gain(), 2.0);
   EXPECT_GT(r100.mean_discovery_rounds, r4.mean_discovery_rounds);
+}
+
+TEST(Network, RejectsZeroTrials) {
+  NetworkStudyConfig cfg;
+  cfg.trials = 0;
+  Rng rng(5);
+  EXPECT_THROW(static_cast<void>(rate_adaptation_study(
+                   4, RateTable::paper_default(), GoodputModel{}, cfg, rng)),
+               PreconditionError);
+}
+
+TEST(Network, ScalesPastTwoHundredFiftySixTags) {
+  // Tag ids are plain indices, so the study is not capped at 8-bit ids.
+  const auto table = RateTable::paper_default();
+  const GoodputModel model;
+  NetworkStudyConfig cfg;
+  cfg.trials = 3;
+  Rng rng(13);
+  const auto r = rate_adaptation_study(300, table, model, cfg, rng);
+  ASSERT_EQ(r.per_tag.size(), 300u);
+  for (const auto& t : r.per_tag) {
+    EXPECT_EQ(t.trials, 3u);
+    EXPECT_GE(t.discovery_rounds, t.trials);
+  }
+  EXPECT_GT(r.gain(), 1.0);
+  EXPECT_GT(r.mean_discovery_rounds, 1.0);
 }
 
 TEST(MacLinkTest, DeliversFrameOverRealPhy) {
