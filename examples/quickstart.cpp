@@ -15,8 +15,7 @@ int main() {
   cfg.roll_deg = 30.0;   // tag rotated about the optical axis: PQAM absorbs it
   cfg.yaw_deg = 10.0;    // tag not facing the reader squarely
   cfg.ambient_lux = 200; // office at night
-  cfg.rs_n = 255;        // light Reed-Solomon outer code
-  cfg.rs_k = 223;
+  cfg.code = rt::coding::CodeDescriptor::reed_solomon(255, 223);  // light outer code
 
   std::printf("RetroTurbo %s quickstart\n", retroturbo::version().c_str());
   std::printf("building link (one-time offline channel training)...\n");

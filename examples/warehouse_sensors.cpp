@@ -2,21 +2,25 @@
 // motivates -- many battery-free tags on shelves, one ceiling reader.
 //
 // Runs the full MAC stack: slotted-ALOHA tag discovery, SNR-based rate
-// adaptation from the paper's operating points, TDMA polling, and CRC +
-// stop-and-wait delivery of sensor readings over the real PHY simulator.
+// adaptation from the paper's operating points, TDMA polling, and
+// RS-coded, CRC-checked stop-and-wait delivery of sensor readings over the
+// real PHY simulator.
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "coding/code_descriptor.h"
+#include "common/bitio.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "mac/goodput.h"
-#include "mac/mac_link.h"
 #include "mac/rate_table.h"
 #include "mac/tdma.h"
+#include "sim/coded_link.h"
 #include "sim/link_sim.h"
+#include "sim/packet_workspace.h"
 
 namespace {
 
@@ -46,6 +50,8 @@ rt::phy::PhyParams demo_phy() {
   p.equalizer_branches = 8;
   return p;
 }
+
+constexpr int kMaxAttempts = 4;  ///< stop-and-wait attempts per reading
 
 }  // namespace
 
@@ -79,7 +85,8 @@ int main() {
   }
 
   // Phase 3: TDMA polling round -- every tag uploads one sensor frame
-  // through the real PHY at its own simulated pose.
+  // through the real PHY at its own simulated pose. The slot owner
+  // identifies the tag, so a frame carries only the reading.
   // Slots follow discovery order: by round found, then by id.
   std::vector<std::pair<std::uint32_t, std::uint8_t>> order;
   for (const auto& t : tags) order.emplace_back(found_round[t.id], t.id);
@@ -103,19 +110,24 @@ int main() {
     rt::sim::SimOptions so;
     so.offline_yaws_deg = {0.0};
     so.shared_offline_model = offline;
-    rt::sim::LinkSimulator sim(phy, phy.tag_config(), ch, so);
-    rt::mac::MacLink link(sim, rt::coding::ReedSolomon(15, 11));
+    so.export_soft_bits = true;
+    const rt::sim::LinkSimulator sim(phy, phy.tag_config(), ch, so);
+    const rt::sim::CodedLink link(sim, {.code = rt::coding::CodeDescriptor::reed_solomon(15, 11)});
+    rt::sim::PacketWorkspace ws;
 
-    rt::mac::MacFrame frame;
-    frame.tag_id = id;
-    frame.seq = 0;
-    frame.payload = tag.sensor_reading(rng);
-    const auto r = link.send(frame, rt::mac::StopAndWaitArq(4));
+    // Stop-and-wait: attempt i is the tag link's coded frame i.
+    const auto bits = rt::bytes_to_bits(tag.sensor_reading(rng));
+    std::vector<std::uint8_t> reading;
+    int attempts = 0;
+    while (attempts < kMaxAttempts && reading.empty()) {
+      const auto r = link.send_bits(static_cast<std::uint64_t>(attempts++), bits, ws);
+      if (r.crc_ok) reading = rt::bits_to_bytes(r.payload);
+    }
     std::printf("  slot %zu tag %u: %s (%d attempt%s)", slot, id,
-                r.delivered ? "delivered" : "LOST", r.attempts, r.attempts == 1 ? "" : "s");
-    if (r.delivered) {
+                reading.empty() ? "LOST" : "delivered", attempts, attempts == 1 ? "" : "s");
+    if (!reading.empty()) {
       ++delivered;
-      std::printf("  T=%.1fC RH=%u%%", r.received->payload[0] / 10.0, r.received->payload[1]);
+      std::printf("  T=%.1fC RH=%u%%", reading[0] / 10.0, reading[1]);
     }
     std::printf("\n");
   }

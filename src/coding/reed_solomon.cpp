@@ -196,34 +196,4 @@ bool ReedSolomon::decode_block_into(std::span<const std::uint8_t> codeword,
   return true;
 }
 
-std::vector<std::uint8_t> ReedSolomon::encode(std::span<const std::uint8_t> data) const {
-  std::vector<std::uint8_t> out;
-  const std::size_t blocks = (data.size() + k_ - 1) / k_;
-  out.reserve(blocks * n_);
-  for (std::size_t bi = 0; bi < blocks; ++bi) {
-    std::vector<std::uint8_t> block(k_, 0);
-    const std::size_t start = bi * k_;
-    const std::size_t len = std::min(k_, data.size() - start);
-    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(start), len, block.begin());
-    const auto cw = encode_block(block);
-    out.insert(out.end(), cw.begin(), cw.end());
-  }
-  return out;
-}
-
-std::optional<std::vector<std::uint8_t>> ReedSolomon::decode(std::span<const std::uint8_t> coded,
-                                                             std::size_t message_len) const {
-  RT_ENSURE(coded.size() % n_ == 0, "coded length must be a multiple of n");
-  std::vector<std::uint8_t> out;
-  out.reserve(message_len);
-  for (std::size_t start = 0; start < coded.size(); start += n_) {
-    const auto block = decode_block(coded.subspan(start, n_));
-    if (!block) return std::nullopt;
-    out.insert(out.end(), block->begin(), block->end());
-  }
-  RT_ENSURE(out.size() >= message_len, "decoded data shorter than message_len");
-  out.resize(message_len);
-  return out;
-}
-
 }  // namespace rt::coding

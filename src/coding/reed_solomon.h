@@ -2,8 +2,9 @@
 //
 // The paper's coding-gain study (Fig. 18b) runs a stop-and-wait link with
 // Reed-Solomon error correction at several coding rates; the rate-adaptive
-// MAC picks (bit rate, coding rate) pairs from the SNR. This is a complete
-// encoder plus Berlekamp-Massey / Chien / Forney hard-decision decoder.
+// MAC picks (bit rate, coding rate) pairs from the SNR. This is a one-codeword
+// encoder plus Berlekamp-Massey / Chien / Forney errors-and-erasures
+// decoder; coding::CodedFrameCodec splits frames into codewords.
 #pragma once
 
 #include <cstdint>
@@ -68,16 +69,6 @@ class ReedSolomon {
   [[nodiscard]] bool decode_block_into(std::span<const std::uint8_t> codeword,
                                        std::span<const std::size_t> erasures, Scratch& scratch,
                                        std::span<std::uint8_t> data_out) const;
-
-  /// Encodes an arbitrary-length message by splitting into k-byte blocks
-  /// (zero-padding the last block; original length must be conveyed by the
-  /// caller, e.g. in a frame header).
-  [[nodiscard]] std::vector<std::uint8_t> encode(std::span<const std::uint8_t> data) const;
-
-  /// Inverse of encode(); `message_len` trims the final padding. Returns
-  /// nullopt if any block fails to decode.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> decode(
-      std::span<const std::uint8_t> coded, std::size_t message_len) const;
 
  private:
   std::size_t n_;

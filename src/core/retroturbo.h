@@ -5,11 +5,15 @@
 // light), and move bytes across the simulated visible-light backscatter
 // link exactly as the SIGCOMM'20 system would -- DSM-PQAM modulation on a
 // liquid-crystal pixel array, preamble rotation correction, two-stage
-// channel training and K-branch DFE demodulation at the reader.
+// channel training and K-branch DFE demodulation at the reader. Every send
+// runs the coded-frame stack (sim::CodedLink: CRC-16, whitening,
+// interleaving, soft-decision Reed-Solomon or Viterbi decoding) and is
+// retransmitted on a CRC failure, the thin MAC of paper section 4.4.
 //
 //   retroturbo::LinkConfig cfg;
 //   cfg.rate = retroturbo::RatePreset::k8kbps;
 //   cfg.distance_m = 5.0;
+//   cfg.code = rt::coding::CodeDescriptor::reed_solomon(255, 223);
 //   retroturbo::Link link(cfg);
 //   auto result = link.send_bytes(payload);
 //
@@ -23,14 +27,17 @@
 #include <string>
 #include <vector>
 
+#include "coding/code_descriptor.h"
+#include "common/bitio.h"
+#include "common/error.h"
 #include "common/units.h"
 #include "fleet/campaign.h"
 #include "fleet/collision.h"
-#include "mac/arq.h"
-#include "mac/frame.h"
-#include "mac/mac_link.h"
 #include "mac/rate_table.h"
+#include "obs/trace.h"
+#include "sim/coded_link.h"
 #include "sim/link_sim.h"
+#include "sim/packet_workspace.h"
 #include "stream/sim_source.h"
 #include "stream/source.h"
 #include "stream/streaming_receiver.h"
@@ -77,9 +84,9 @@ struct LinkConfig {
   double pixel_timing_spread = 0.02;
   double polarizer_error_deg = 1.0;
 
-  /// Optional Reed-Solomon outer code (n, k); {0, 0} = uncoded.
-  std::size_t rs_n = 0;
-  std::size_t rs_k = 0;
+  /// Outer code of every frame (CRC-16 is always appended).
+  rt::coding::CodeDescriptor code = rt::coding::CodeDescriptor::none();
+  /// Retransmissions after a CRC failure: up to 1 + this many attempts.
   int max_retransmissions = 4;
 
   std::uint64_t seed = 1;
@@ -88,32 +95,40 @@ struct LinkConfig {
 struct TransferResult {
   bool delivered = false;
   int attempts = 0;
-  std::vector<std::uint8_t> received;  ///< payload as decoded at the reader
+  std::vector<std::uint8_t> received;  ///< CRC-clean payload (empty unless delivered)
 };
 
-/// A point-to-point RetroTurbo uplink (tag -> reader) with MAC framing,
-/// optional RS coding and stop-and-wait retransmission.
+/// A point-to-point RetroTurbo uplink (tag -> reader): coded frames with
+/// stop-and-wait retransmission. Attempt i of the link's lifetime is coded
+/// frame i of its sim::CodedLink, so the channel an attempt meets depends
+/// only on the seed and i, never on the payloads sent before it.
 class Link {
  public:
   explicit Link(const LinkConfig& config)
       : cfg_(config),
         sim_(make_phy(config), make_tag(config), make_channel(config), make_sim_options(config)),
-        mac_(sim_, config.rs_n > 0
-                       ? std::optional<rt::coding::ReedSolomon>(
-                             rt::coding::ReedSolomon(config.rs_n, config.rs_k))
-                       : std::nullopt) {}
+        coded_(sim_, rt::coding::CodedFrameConfig{.code = config.code}) {
+    RT_ENSURE(config.max_retransmissions >= 0, "max_retransmissions must be non-negative");
+  }
+  // coded_ refers to sim_, so a Link stays where it was built.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
-  /// Sends `payload` as one MAC frame; retransmits on CRC failure.
+  /// Sends `payload` as one coded frame; retransmits on CRC failure.
   [[nodiscard]] TransferResult send_bytes(std::span<const std::uint8_t> payload) {
-    rt::mac::MacFrame frame;
-    frame.tag_id = 1;
-    frame.seq = seq_++;
-    frame.payload.assign(payload.begin(), payload.end());
-    const auto r = mac_.send(frame, rt::mac::StopAndWaitArq(cfg_.max_retransmissions));
+    RT_ENSURE(!payload.empty(), "payload must not be empty");
+    const auto bits = rt::bytes_to_bits(payload);
     TransferResult out;
-    out.delivered = r.delivered;
-    out.attempts = r.attempts;
-    if (r.received) out.received = r.received->payload;
+    for (int retry = 0; retry <= cfg_.max_retransmissions; ++retry) {
+      if (retry > 0) RT_OBS_COUNT(kMacArqRetries, 1);
+      ++out.attempts;
+      const auto r = coded_.send_bits(next_packet_++, bits, ws_);
+      if (r.crc_ok) {
+        out.delivered = true;
+        out.received = rt::bits_to_bytes(r.payload);
+        break;
+      }
+    }
     return out;
   }
 
@@ -126,7 +141,7 @@ class Link {
   [[nodiscard]] double snr_db() const { return sim_.snr_db(); }
   [[nodiscard]] double data_rate_bps() const { return sim_.params().data_rate_bps(); }
   [[nodiscard]] const rt::phy::PhyParams& phy() const { return sim_.params(); }
-  [[nodiscard]] rt::sim::LinkSimulator& simulator() { return sim_; }
+  [[nodiscard]] const rt::sim::LinkSimulator& simulator() const { return sim_; }
 
  private:
   [[nodiscard]] static rt::phy::PhyParams make_phy(const LinkConfig& c) {
@@ -155,13 +170,15 @@ class Link {
   [[nodiscard]] static rt::sim::SimOptions make_sim_options(const LinkConfig& c) {
     rt::sim::SimOptions o;
     o.seed = c.seed + 0x85EBCA6BULL;
+    o.export_soft_bits = true;
     return o;
   }
 
   LinkConfig cfg_;
   rt::sim::LinkSimulator sim_;
-  rt::mac::MacLink mac_;
-  std::uint8_t seq_ = 0;
+  rt::sim::CodedLink coded_;
+  rt::sim::PacketWorkspace ws_;
+  std::uint64_t next_packet_ = 0;
 };
 
 }  // namespace retroturbo

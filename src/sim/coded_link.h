@@ -7,7 +7,9 @@
 // Fig. 18b bench sweeps over SNR. Mirrors LinkSimulator's purity contract:
 // run_packet is a pure function of (seed, noise_seed, packet_index), and
 // CodedLinkStats merges associatively/commutatively, so serial runs equal
-// any parallel partition bit for bit.
+// any parallel partition bit for bit. send_bits carries caller-given info
+// bits under the same contract; the public facade (retroturbo::Link)
+// sends every attempt through it.
 #pragma once
 
 #include <cmath>
@@ -30,6 +32,9 @@ struct CodedPacketOutcome {
   std::size_t raw_bit_errors = 0;   ///< pre-decode channel errors
   std::size_t erasures_used = 0;    ///< RS erasures in successful GMD retries
   double snr_estimate_db = 0.0;
+  /// Decoded info bits (empty if the preamble was lost); views the
+  /// workspace, so it is invalidated by the next packet on it.
+  std::span<const std::uint8_t> payload;
 };
 
 /// Plain-sum statistics (merge is associative and commutative, the same
@@ -100,24 +105,35 @@ class CodedLink {
 
   /// Runs coded frame `packet_index` carrying `payload_bytes` random info
   /// bytes (drawn from the same payload sub-stream as the uncoded
-  /// methodology). Pure in (seed, noise_seed, packet_index); workspaces
-  /// must not be shared across threads. A lost preamble counts every info
-  /// bit as an error, matching LinkStats' conservative convention.
+  /// methodology) into `ws.info_bits`, then sends them with send_bits().
+  /// Pure in (seed, noise_seed, packet_index); workspaces must not be
+  /// shared across threads. A lost preamble counts every info bit as an
+  /// error, matching LinkStats' conservative convention.
   [[nodiscard]] CodedPacketOutcome run_packet(std::uint64_t packet_index,
                                               std::size_t payload_bytes, PacketWorkspace& ws,
                                               DecodeMode mode = DecodeMode::kSoft) const {
     RT_ENSURE(payload_bytes >= 1, "need at least one payload byte");
-    const obs::ScopedBind obs_bind(ws.obs);
-    const std::size_t info_n = payload_bytes * 8;
     // Sub-stream 0 is run_packet's payload stream, so a coded and an
     // uncoded campaign at the same index carry the same info bits.
     Rng info_rng(split_seed(link_.options().seed, packet_index, 0));
-    ws.info_bits.resize(info_n);
+    ws.info_bits.resize(payload_bytes * 8);
     info_rng.fill_bits(ws.info_bits);
+    return send_bits(packet_index, ws.info_bits, ws, mode);
+  }
 
+  /// Sends caller-given info bits (whole bytes; may view `ws.info_bits`)
+  /// as coded frame `packet_index`: the padding and noise are those of
+  /// run_packet(packet_index), so the outcome is a pure function of
+  /// (seed, noise_seed, packet_index, info_bits).
+  [[nodiscard]] CodedPacketOutcome send_bits(std::uint64_t packet_index,
+                                             std::span<const std::uint8_t> info_bits,
+                                             PacketWorkspace& ws,
+                                             DecodeMode mode = DecodeMode::kSoft) const {
+    const obs::ScopedBind obs_bind(ws.obs);
+    const std::size_t info_n = info_bits.size();
     {
       RT_TRACE_SPAN("code_encode");
-      codec_.encode_into(ws.info_bits, ws.coded, ws.coded_tx_bits);
+      codec_.encode_into(info_bits, ws.coded, ws.coded_tx_bits);
     }
     const auto raw = link_.run_packet_bits(packet_index, ws.coded_tx_bits, ws);
 
@@ -155,10 +171,11 @@ class CodedLink {
       out.decode_ok = res.decode_ok;
       out.crc_ok = res.crc_ok;
       out.erasures_used = res.erasures_used;
+      out.payload = res.payload;
       RT_OBS_COUNT(kRsErasuresMarked, res.erasures_used);
       if (!res.crc_ok) RT_OBS_COUNT(kCodedCrcFailures, 1);
       for (std::size_t i = 0; i < info_n; ++i)
-        out.info_bit_errors += (res.payload[i] != ws.info_bits[i]) ? 1 : 0;
+        out.info_bit_errors += (res.payload[i] != info_bits[i]) ? 1 : 0;
     }
     return out;
   }

@@ -79,7 +79,7 @@ class LinkSimulator {
   LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig& tag_config,
                 const ChannelConfig& channel_config, const SimOptions& options = {});
 
-  /// Sends one packet of the given payload bits.
+  /// One packet's outcome; the demodulated bits stay in `ws.result.bits`.
   struct PacketOutcome {
     bool preamble_found = false;
     std::size_t bit_errors = 0;
@@ -88,15 +88,12 @@ class LinkSimulator {
     /// always finite; meaningful only when `preamble_found`. This is the
     /// quantity the closed rate-adaptation loop feeds to mac::RateTable.
     double snr_estimate_db = 0.0;
-    /// Demodulated payload; filled by send_packet() only (empty if lost).
-    std::vector<std::uint8_t> received_bits;
     /// Per-bit LLRs aligned with the payload (positive = bit 0). Only
     /// filled when SimOptions::export_soft_bits is set and the preamble
     /// was found; views ws.result.soft_bits, so it is invalidated by the
     /// next packet on the same workspace.
     std::span<const float> soft_bits;
   };
-  [[nodiscard]] PacketOutcome send_packet(std::span<const std::uint8_t> payload_bits);
 
   /// Runs packet number `packet_index` of the paper's BER methodology
   /// (random payload, random start padding, fresh channel noise) as a pure
@@ -154,16 +151,15 @@ class LinkSimulator {
  private:
   /// Runs one packet through the workspace pipeline: modulate into
   /// ws.schedule, pad the schedule in place, render through the cached
-  /// channel realization into ws.rx, demodulate in place. `noise_rng` may
-  /// be null for a noiseless shot. Does not fill `received_bits`.
+  /// channel realization into ws.rx, demodulate in place.
   [[nodiscard]] PacketOutcome transmit_into(std::span<const std::uint8_t> payload_bits,
-                                            Rng& pad_rng, Rng* noise_rng,
+                                            Rng& pad_rng, Rng& noise_rng,
                                             PacketWorkspace& ws) const;
 
   /// TX half of transmit_into(): modulate, pad, render through the cached
   /// channel realization into ws.rx. Returns the padding in samples.
   std::size_t render_into(std::span<const std::uint8_t> payload_bits, Rng& pad_rng,
-                          Rng* noise_rng, PacketWorkspace& ws) const;
+                          Rng& noise_rng, PacketWorkspace& ws) const;
 
   phy::PhyParams params_;
   Channel channel_;
@@ -171,7 +167,6 @@ class LinkSimulator {
   phy::Demodulator demodulator_;
   std::optional<phy::PulseBank> oracle_;
   SimOptions opts_;
-  Rng rng_;
 };
 
 }  // namespace rt::sim

@@ -1,7 +1,8 @@
 // End-to-end tests for sim::CodedLink: FEC-wrapped packets through the
 // full TX -> channel -> RX pipeline, covering delivery at high SNR, the
 // purity contract (serial == any parallel partition, workspace reuse ==
-// fresh workspaces), and the soft/hard decode modes sharing one channel.
+// fresh workspaces), the soft/hard decode modes sharing one channel, and
+// send_bits reproducing run_packet on its own info bits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -144,6 +145,50 @@ TEST(CodedLink, SoftAndHardModesShareOneChannel) {
   // Sign-aligned LLRs slice back to the hard decisions, so soft decoding
   // can only refine the hard outcome, never lose to it here.
   EXPECT_LE(soft_info_errors, hard_info_errors);
+}
+
+TEST(CodedLink, SendBitsEqualsRunPacketOnItsInfoBits) {
+  // run_packet is "draw the info bits, then send_bits": fed the bits
+  // run_packet drew, send_bits on a fresh workspace reproduces its outcome
+  // field by field, decoded payload included, in both decode modes.
+  const auto p = fast_params();
+  ChannelConfig ch;
+  ch.snr_override_db = 7.0;  // raw errors in every frame; most decodes fail
+  ch.noise_seed = 11;
+  const LinkSimulator sim(p, p.tag_config(), ch, soft_options(77));
+  coding::CodedFrameConfig cfg;
+  cfg.code = coding::CodeDescriptor::reed_solomon(63, 47);
+  const CodedLink link(sim, cfg);
+
+  PacketWorkspace ws;
+  int crc_ok = 0;
+  for (const auto mode : {CodedLink::DecodeMode::kSoft, CodedLink::DecodeMode::kHard}) {
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      const auto ref = link.run_packet(i, 16, ws, mode);
+      const std::vector<std::uint8_t> info(ws.info_bits.begin(), ws.info_bits.end());
+      const std::vector<std::uint8_t> ref_payload(ref.payload.begin(), ref.payload.end());
+      PacketWorkspace fresh;
+      const auto got = link.send_bits(i, info, fresh, mode);
+      EXPECT_EQ(got.preamble_found, ref.preamble_found) << "packet " << i;
+      EXPECT_EQ(got.decode_ok, ref.decode_ok) << "packet " << i;
+      EXPECT_EQ(got.crc_ok, ref.crc_ok) << "packet " << i;
+      EXPECT_EQ(got.info_bits, ref.info_bits) << "packet " << i;
+      EXPECT_EQ(got.info_bit_errors, ref.info_bit_errors) << "packet " << i;
+      EXPECT_EQ(got.raw_bits, ref.raw_bits) << "packet " << i;
+      EXPECT_EQ(got.raw_bit_errors, ref.raw_bit_errors) << "packet " << i;
+      EXPECT_EQ(got.erasures_used, ref.erasures_used) << "packet " << i;
+      EXPECT_EQ(got.snr_estimate_db, ref.snr_estimate_db) << "packet " << i;
+      EXPECT_EQ(std::vector<std::uint8_t>(got.payload.begin(), got.payload.end()), ref_payload)
+          << "packet " << i;
+      if (ref.preamble_found) {
+        EXPECT_EQ(ref.payload.size(), info.size()) << "packet " << i;
+      }
+      crc_ok += ref.crc_ok ? 1 : 0;
+    }
+  }
+  // Both outcomes are exercised: a delivered frame and failed decodes.
+  EXPECT_GT(crc_ok, 0);
+  EXPECT_LT(crc_ok, 12);
 }
 
 }  // namespace

@@ -112,30 +112,6 @@ TEST(ReedSolomon, DetectsUncorrectableBeyondT) {
   EXPECT_GE(failures, 49);
 }
 
-TEST(ReedSolomon, MultiBlockMessageRoundTrip) {
-  ReedSolomon rs(15, 11);
-  Rng rng(17);
-  const auto msg = rng.bytes(100);  // not a multiple of k=11
-  const auto coded = rs.encode(msg);
-  EXPECT_EQ(coded.size() % 15, 0u);
-  const auto decoded = rs.decode(coded, msg.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, msg);
-}
-
-TEST(ReedSolomon, MultiBlockCorrectsScatteredErrors) {
-  ReedSolomon rs(15, 11);  // t = 2 per block
-  Rng rng(19);
-  const auto msg = rng.bytes(44);
-  auto coded = rs.encode(msg);
-  // One error in each block.
-  for (std::size_t b = 0; b < coded.size() / 15; ++b)
-    coded[b * 15 + (b % 15)] ^= 0xA5;
-  const auto decoded = rs.decode(coded, msg.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, msg);
-}
-
 TEST(ReedSolomon, ParamValidation) {
   EXPECT_THROW(ReedSolomon(256, 100), PreconditionError);
   EXPECT_THROW(ReedSolomon(10, 10), PreconditionError);
@@ -478,7 +454,9 @@ TEST_P(CodedFrameKindTest, CleanRoundTripSoftAndHard) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, CodedFrameKindTest,
                          ::testing::Values(CodeDescriptor::none(),
                                            CodeDescriptor::convolutional(7),
-                                           CodeDescriptor::reed_solomon(63, 47)));
+                                           CodeDescriptor::reed_solomon(63, 47),
+                                           // 34 message bytes span 4 codewords
+                                           CodeDescriptor::reed_solomon(15, 11)));
 
 TEST(CodedFrame, CrcCatchesCorruptionOnUncodedFrames) {
   CodedFrameConfig cfg;  // kNone
@@ -492,6 +470,68 @@ TEST(CodedFrame, CrcCatchesCorruptionOnUncodedFrames) {
   tx[17] ^= 1U;
   const auto res = codec.decode_hard_into(tx, payload.size(), ws);
   EXPECT_FALSE(res.crc_ok);
+}
+
+TEST(MacFrameTest, CorruptionDetected) {
+  // The frame a retroturbo::Link send puts on air with no outer code is
+  // the uncoded coded frame (payload + CRC-16); the link retransmits on
+  // every CRC failure, so no single-byte corruption may pass.
+  const CodedFrameCodec codec(CodedFrameConfig{});
+  CodedFrameWorkspace ws;
+  Rng rng(2);
+  std::vector<std::uint8_t> payload(32 * 8);
+  rng.fill_bits(payload);
+  std::vector<std::uint8_t> tx;
+  codec.encode_into(payload, ws, tx);
+  ASSERT_TRUE(codec.decode_hard_into(tx, payload.size(), ws).crc_ok);
+  for (std::size_t byte = 0; byte < tx.size() / 8; ++byte) {
+    auto bad = tx;
+    bad[byte * 8 + 1] ^= 1U;
+    EXPECT_FALSE(codec.decode_hard_into(bad, payload.size(), ws).crc_ok) << "byte " << byte;
+  }
+  // A truncated frame is rejected outright.
+  EXPECT_THROW((void)codec.decode_hard_into(std::span(tx).first(80), payload.size(), ws),
+               PreconditionError);
+}
+
+TEST(CodedFrame, RsCorrectsOneScatteredByteErrorPerCodeword) {
+  // RS(15, 11) corrects t = 2 byte errors per codeword. One wrong byte in
+  // every codeword, placed on air through the interleaver map, decodes.
+  CodedFrameConfig cfg;
+  cfg.code = CodeDescriptor::reed_solomon(15, 11);
+  const CodedFrameCodec codec(cfg);
+  CodedFrameWorkspace ws;
+  Rng rng(19);
+  std::vector<std::uint8_t> payload(42 * 8);  // + CRC = 44 bytes = 4 codewords
+  rng.fill_bits(payload);
+  std::vector<std::uint8_t> tx;
+  codec.encode_into(payload, ws, tx);
+  const std::size_t coded_bytes = tx.size() / 8;
+  ASSERT_EQ(coded_bytes, 4u * 15u);
+
+  // air_to_codeword[a] = codeword-stream position of the byte sent a-th.
+  std::vector<std::size_t> positions(coded_bytes);
+  for (std::size_t i = 0; i < coded_bytes; ++i) positions[i] = i;
+  const auto air_to_codeword =
+      BlockInterleaver(cfg.interleaver_rows, coded_bytes / cfg.interleaver_rows)
+          .interleave(std::span<const std::size_t>(positions));
+  const auto corrupt = [&](std::vector<std::uint8_t>& bits, std::size_t codeword_pos) {
+    const auto air = static_cast<std::size_t>(
+        std::find(air_to_codeword.begin(), air_to_codeword.end(), codeword_pos) -
+        air_to_codeword.begin());
+    for (std::size_t j = 0; j < 8; ++j) bits[air * 8 + j] ^= (0xA5U >> (7 - j)) & 1U;
+  };
+  for (std::size_t b = 0; b < 4; ++b) corrupt(tx, b * 15 + b);
+
+  const auto res = codec.decode_hard_into(tx, payload.size(), ws);
+  EXPECT_TRUE(res.decode_ok);
+  EXPECT_TRUE(res.crc_ok);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), res.payload.begin()));
+
+  // Two more wrong bytes in codeword 0 (3 > t) defeat it: the errors land.
+  corrupt(tx, 5);
+  corrupt(tx, 9);
+  EXPECT_FALSE(codec.decode_hard_into(tx, payload.size(), ws).crc_ok);
 }
 
 TEST(CodedFrame, GmdErasureRetriesRescueWeakBytes) {

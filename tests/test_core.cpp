@@ -1,6 +1,8 @@
 // Tests for the retroturbo:: public facade.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.h"
 #include "core/retroturbo.h"
 
@@ -42,8 +44,7 @@ TEST(Facade, SendBytesRoundTrip) {
 
 TEST(Facade, CodedLinkConfig) {
   auto cfg = fast_config();
-  cfg.rs_n = 15;
-  cfg.rs_k = 11;
+  cfg.code = rt::coding::CodeDescriptor::reed_solomon(15, 11);
   cfg.snr_override_db = 30.0;
   Link link(cfg);
   rt::Rng rng(6);
@@ -51,6 +52,105 @@ TEST(Facade, CodedLinkConfig) {
   const auto r = link.send_bytes(payload);
   ASSERT_TRUE(r.delivered);
   EXPECT_EQ(r.received, payload);
+}
+
+TEST(Facade, DeliversFrameOverRealPhy) {
+  auto cfg = fast_config();
+  cfg.code = rt::coding::CodeDescriptor::reed_solomon(15, 11);
+  cfg.snr_override_db = 40.0;
+  cfg.max_retransmissions = 2;
+  Link link(cfg);
+  rt::Rng rng(9);
+  const auto payload = rng.bytes(20);
+  const auto r = link.send_bytes(payload);
+  ASSERT_TRUE(r.delivered);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(r.received, payload);
+  // Payload bits over bits on air: 20 bytes + CRC fill two RS(15, 11)
+  // codewords, so the frame stays efficient.
+  const rt::coding::CodedFrameCodec codec({.code = cfg.code});
+  const std::size_t payload_bits = payload.size() * 8;
+  EXPECT_GT(static_cast<double>(payload_bits) /
+                static_cast<double>(r.attempts * codec.coded_bits(payload_bits)),
+            0.3);
+}
+
+TEST(Facade, CodedLinkSurvivesNoiseUncodedFails) {
+  // Four single-attempt frames through an RS(63, 39) link and an uncoded
+  // one. Same seed, so both links meet the same channel attempt by attempt.
+  const auto delivered = [](double snr_db) {
+    auto cfg = fast_config();
+    cfg.snr_override_db = snr_db;
+    cfg.max_retransmissions = 0;
+    Link raw(cfg);
+    cfg.code = rt::coding::CodeDescriptor::reed_solomon(63, 39);
+    Link coded(cfg);
+    rt::Rng rng(11);
+    std::pair<int, int> ok{0, 0};  // {coded, raw}
+    for (int i = 0; i < 4; ++i) {
+      const auto payload = rng.bytes(24);
+      ok.first += coded.send_bytes(payload).delivered ? 1 : 0;
+      ok.second += raw.send_bytes(payload).delivered ? 1 : 0;
+    }
+    return ok;
+  };
+  // 10 dB: a few raw bit errors per frame at most.
+  const auto [coded_10, raw_10] = delivered(10.0);
+  EXPECT_GE(coded_10, raw_10);
+  EXPECT_GE(coded_10, 3);
+  // 8 dB: raw errors in most frames; the CRC rejects the uncoded ones.
+  const auto [coded_8, raw_8] = delivered(8.0);
+  EXPECT_GT(coded_8, raw_8);
+  EXPECT_GE(coded_8, 3);
+}
+
+TEST(Facade, NoRetransmissionMeansOneAttempt) {
+  auto cfg = fast_config();
+  cfg.snr_override_db = -10.0;  // hopeless: every attempt fails
+  cfg.max_retransmissions = 0;
+  Link link(cfg);
+  const auto r = link.send_bytes(rt::Rng(7).bytes(8));
+  EXPECT_FALSE(r.delivered);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_TRUE(r.received.empty());
+}
+
+TEST(Facade, RetransmissionsBoundAttempts) {
+  auto cfg = fast_config();
+  cfg.snr_override_db = -10.0;
+  cfg.max_retransmissions = 2;
+  Link link(cfg);
+  const auto r = link.send_bytes(rt::Rng(8).bytes(8));
+  EXPECT_FALSE(r.delivered);
+  EXPECT_EQ(r.attempts, 3);
+  EXPECT_TRUE(r.received.empty());
+}
+
+TEST(Facade, RejectsNegativeRetransmissionsAndEmptyPayloads) {
+  auto cfg = fast_config();
+  cfg.max_retransmissions = -1;
+  EXPECT_THROW(Link{cfg}, rt::PreconditionError);
+  Link link(fast_config());
+  EXPECT_THROW((void)link.send_bytes({}), rt::PreconditionError);
+}
+
+TEST(Facade, SendDependsOnPacketIndexNotOnEarlierPayloads) {
+  // Two links of one config send first frames of different lengths, then
+  // the same frame: attempt 1 of both meets the same padding and noise.
+  auto cfg = fast_config();
+  cfg.snr_override_db = 9.0;
+  cfg.max_retransmissions = 0;
+  Link a(cfg);
+  Link b(cfg);
+  rt::Rng rng(12);
+  (void)a.send_bytes(rng.bytes(8));
+  (void)b.send_bytes(rng.bytes(40));
+  const auto payload = rng.bytes(24);
+  const auto ra = a.send_bytes(payload);
+  const auto rb = b.send_bytes(payload);
+  EXPECT_EQ(ra.delivered, rb.delivered);
+  EXPECT_EQ(ra.attempts, rb.attempts);
+  EXPECT_EQ(ra.received, rb.received);
 }
 
 TEST(Facade, MeasureBerReportsStats) {

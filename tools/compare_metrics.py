@@ -23,8 +23,11 @@ Compares a candidate metrics file against a baseline along three axes:
 With --update-baseline the comparison is skipped: the candidate is
 rewritten onto the baseline path with a `provenance` object (UTC
 timestamp, source path, git commit, generator) so a committed baseline
-always says where it came from. Re-run the gate afterwards to confirm
-the fresh baseline passes against its own source.
+always says where it came from. The source path is stored relative to
+the repository root, or as the bare file name for a candidate outside
+the repository, so no machine's directory layout is committed. Re-run
+the gate afterwards to confirm the fresh baseline passes against its
+own source.
 
 Exit codes: 0 = within thresholds, 1 = regression found, 2 = bad input.
 
@@ -45,6 +48,8 @@ import subprocess
 import sys
 
 SCHEMAS = ("rt-metrics-v1", "rt-metrics-v2")
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Counters excluded from the exact comparison: their values depend on
 # scheduling order, not simulated behaviour.
@@ -166,13 +171,23 @@ def git_commit() -> str:
     return "unknown"
 
 
+def provenance_source(candidate_path: str) -> str:
+    """`candidate_path` relative to the repository root, or its bare file
+    name when it lies outside the repository."""
+    path = pathlib.Path(candidate_path).resolve()
+    try:
+        return path.relative_to(REPO_ROOT).as_posix()
+    except ValueError:
+        return path.name
+
+
 def update_baseline(baseline_path: str, candidate_path: str) -> int:
     doc = load(candidate_path)
     doc["provenance"] = {
         "generated_utc": datetime.datetime.now(datetime.timezone.utc)
         .replace(microsecond=0)
         .isoformat(),
-        "source": candidate_path,
+        "source": provenance_source(candidate_path),
         "git_commit": git_commit(),
         "generator": "tools/compare_metrics.py --update-baseline",
     }
