@@ -72,6 +72,31 @@ struct SynthScratch {
   std::vector<Event> events;
   std::vector<std::size_t> event_sample;
   std::vector<double> c_run;  ///< per-sample LC alignment rows for one segment
+  std::vector<double> c_probe;  ///< (c, s) before a fixed-point probe step
+  std::vector<double> s_probe;
+};
+
+/// The pixel bank's dynamic state at a sample boundary, in bank order
+/// [I modules x pixels, then Q modules x pixels].
+struct BankState {
+  std::vector<double> drive;  ///< 1.0 driven / 0.0 released
+  std::vector<double> c;      ///< LC alignment
+  std::vector<double> s;      ///< LC surface memory
+};
+
+/// A rendered schedule prefix that TagArray::synthesize_into() splices into
+/// later renders instead of integrating it again: the first samples of a
+/// render at unit gain, the events that fired inside them, and the bank
+/// state before and after. Built once by TagArray::render_prefix() and
+/// read-only afterwards, so any number of threads may splice one. Only a
+/// TagArray built from the same TagConfig may splice it.
+struct SynthPrefix {
+  double fs = 0.0;
+  std::vector<sig::Complex> samples;
+  std::vector<SynthScratch::Event> events;  ///< in application order, all before samples.size()
+  std::vector<std::size_t> event_sample;
+  BankState start;  ///< state the render started from
+  BankState end;    ///< state after samples.size() samples
 };
 
 class TagArray {
@@ -86,8 +111,26 @@ class TagArray {
   /// from the tag's current LC state -- callers reusing one TagArray
   /// across packets must reset() first (reset() provably restores the
   /// as-constructed state, so reset+synthesize_into matches a fresh tag).
-  void synthesize_into(std::span<const Firing> schedule, double fs, double duration_s,
-                       SynthScratch& scratch, sig::IqWaveform& out);
+  ///
+  /// Two shortcuts keep the output bit-identical to integrating every
+  /// sample. A constant-drive stretch whose first step leaves the bank
+  /// state bitwise unchanged is a fixed point, so its remaining samples
+  /// repeat that step's sample. And when `prefix` is given and the
+  /// schedule's first events are the prefix's events shifted by one whole
+  /// number of samples, with no other event inside the shifted span and
+  /// the bank in the prefix's start state when the span begins, the
+  /// cached samples and end state are copied in and the render resumes
+  /// after them. Any mismatch renders in full. Returns whether the prefix
+  /// was spliced.
+  bool synthesize_into(std::span<const Firing> schedule, double fs, double duration_s,
+                       SynthScratch& scratch, sig::IqWaveform& out,
+                       const SynthPrefix* prefix = nullptr);
+
+  /// Renders the first `samples` samples of `schedule` from the tag's
+  /// current state into `out`, keeping the events that fire before
+  /// `samples` and the bank state before and after, for later splicing.
+  void render_prefix(std::span<const Firing> schedule, double fs, std::size_t samples,
+                     SynthScratch& scratch, SynthPrefix& out);
 
   /// Resets every LC cell to the relaxed state.
   void reset();
@@ -134,6 +177,30 @@ class TagArray {
   /// Writes the binary decomposition of `level` into the drive lanes of
   /// one module (pixel 0 carries the top bit, mirroring Module::step).
   void apply_level(bool is_i, int module, int level);
+
+  /// Expands `schedule` into sorted set-level / release events and their
+  /// sample indices at rate `fs` (scratch.events / scratch.event_sample).
+  void expand_events(std::span<const Firing> schedule, double fs, SynthScratch& scratch) const;
+
+  /// The event loop: renders samples [0, out.size()) of the expanded
+  /// events in `scratch`, splicing `prefix` in where it matches.
+  bool render(double fs, SynthScratch& scratch, std::span<sig::Complex> out,
+              const SynthPrefix* prefix);
+
+  /// Sample at which `prefix` splices into the expanded events in
+  /// `scratch`, or `n` when its events do not match.
+  [[nodiscard]] std::size_t splice_point(const SynthPrefix& prefix, double fs,
+                                         const SynthScratch& scratch, std::size_t n) const;
+
+  /// Renders the constant-drive stretch [i, end) into `out`.
+  void render_stretch(std::size_t i, std::size_t end, double dt, SynthScratch& scratch,
+                      sig::Complex* out);
+
+  /// The received sample of one row of LC alignments.
+  [[nodiscard]] sig::Complex emit(const double* crow) const;
+
+  void save_state(BankState& out) const;
+  [[nodiscard]] bool state_equals(const BankState& other) const;
 
   TagConfig cfg_;
   std::vector<Module> i_modules_;

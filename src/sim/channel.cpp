@@ -20,12 +20,12 @@ std::uint64_t next_channel_id() {
 
 void ChannelRealization::synthesize_into(std::span<const lcm::Firing> firings, double duration_s,
                                          Rng* noise_rng, lcm::SynthScratch& scratch,
-                                         sig::IqWaveform& out) {
+                                         sig::IqWaveform& out, const lcm::SynthPrefix* prefix) {
   RT_TRACE_SPAN("channel");
   // reset() restores the as-constructed LC state, so a reused realization
   // renders exactly what a freshly built tag would.
   tag_.reset();
-  tag_.synthesize_into(firings, sample_rate_hz_, duration_s, scratch, out);
+  tag_.synthesize_into(firings, sample_rate_hz_, duration_s, scratch, out, prefix);
   // Gain chain split into a (scalar, transcendental-heavy) gain fill and a
   // batched complex scale; `out[i] *= g` and cscale apply the identical
   // complex product per sample.
@@ -41,6 +41,15 @@ void ChannelRealization::synthesize_into(std::span<const lcm::Firing> firings, d
   }
   kernels::cscale(out.size(), out.samples.data(), gain_buf_.data());
   if (sigma_ > 0.0 && noise_rng != nullptr) sig::add_noise_sigma(out, sigma_, *noise_rng);
+}
+
+lcm::SynthPrefix ChannelRealization::render_prefix(std::span<const lcm::Firing> firings,
+                                                   std::size_t samples) {
+  tag_.reset();
+  lcm::SynthScratch scratch;
+  lcm::SynthPrefix prefix;
+  tag_.render_prefix(firings, sample_rate_hz_, samples, scratch, prefix);
+  return prefix;
 }
 
 namespace {

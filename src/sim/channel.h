@@ -77,8 +77,19 @@ class ChannelRealization {
  public:
   /// Renders `firings` over [0, duration_s) into `out` and adds AWGN drawn
   /// from `noise_rng` (skipped when null or when the channel is noiseless).
+  /// A `prefix` from render_prefix() of a realization of the same Channel
+  /// is spliced into the tag render where its events match (see
+  /// lcm::TagArray::synthesize_into); the gain chain and noise then run
+  /// over the whole waveform as usual.
   void synthesize_into(std::span<const lcm::Firing> firings, double duration_s, Rng* noise_rng,
-                       lcm::SynthScratch& scratch, sig::IqWaveform& out);
+                       lcm::SynthScratch& scratch, sig::IqWaveform& out,
+                       const lcm::SynthPrefix* prefix = nullptr);
+
+  /// Renders the first `samples` samples of `firings` from the reset tag at
+  /// unit gain, before the gain chain and noise: a splice for later
+  /// synthesize_into() calls of any realization of this Channel.
+  [[nodiscard]] lcm::SynthPrefix render_prefix(std::span<const lcm::Firing> firings,
+                                               std::size_t samples);
 
   /// Identity of the Channel this realization was built from.
   [[nodiscard]] std::uint64_t channel_id() const { return channel_id_; }

@@ -23,6 +23,22 @@ phy::OfflineModel build_offline_model(const phy::PhyParams& params, const Channe
   return phy::OfflineTrainer::train(params, sources, opts.offline_rank);
 }
 
+/// Renders the frame prefix -- every firing before the payload -- up to
+/// the sample of the first payload firing. The prefix does not depend on
+/// the payload or its length, so a one-bit frame yields it.
+lcm::SynthPrefix render_frame_prefix(const phy::PhyParams& params, const phy::Modulator& mod,
+                                     const Channel& channel) {
+  phy::ModulatorWorkspace mws;
+  phy::PacketSchedule sched;
+  const std::uint8_t bit = 0;
+  mod.modulate_into(std::span(&bit, 1), mws, sched);
+  RT_ENSURE(sched.firings.size() > mws.prefix.size(), "a frame carries payload firings");
+  const double first_payload_s = sched.firings[mws.prefix.size()].time_s;
+  const auto samples =
+      static_cast<std::size_t>(std::llround(first_payload_s * params.sample_rate_hz));
+  return channel.make_realization().render_prefix(mws.prefix, samples);
+}
+
 }  // namespace
 
 phy::OfflineModel train_offline_model(const phy::PhyParams& params,
@@ -47,7 +63,8 @@ LinkSimulator::LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig&
       channel_(params, tag_config, channel_config),
       modulator_(params),
       demodulator_(params, build_offline_model(params, channel_, options, channel_config)),
-      opts_(options) {
+      opts_(options),
+      frame_prefix_(render_frame_prefix(params_, modulator_, channel_)) {
   if (opts_.oracle_templates) {
     // Fingerprints measured noiselessly at the oracle pose (default: the
     // operating pose = perfect channel knowledge) but WITHOUT roll (the
@@ -114,7 +131,7 @@ std::size_t LinkSimulator::render_into(std::span<const std::uint8_t> payload_bit
 
   if (!ws.channel || ws.channel->channel_id() != channel_.id())
     ws.channel.emplace(channel_.make_realization());
-  ws.channel->synthesize_into(pkt.firings, duration, &noise_rng, ws.synth, ws.rx);
+  ws.channel->synthesize_into(pkt.firings, duration, &noise_rng, ws.synth, ws.rx, &frame_prefix_);
   return static_cast<std::size_t>(pad_slots) * params_.samples_per_slot();
 }
 

@@ -157,7 +157,8 @@ class LinkSimulator {
                                             PacketWorkspace& ws) const;
 
   /// TX half of transmit_into(): modulate, pad, render through the cached
-  /// channel realization into ws.rx. Returns the padding in samples.
+  /// channel realization (splicing in the frame prefix) into ws.rx.
+  /// Returns the padding in samples.
   std::size_t render_into(std::span<const std::uint8_t> payload_bits, Rng& pad_rng,
                           Rng& noise_rng, PacketWorkspace& ws) const;
 
@@ -167,6 +168,11 @@ class LinkSimulator {
   phy::Demodulator demodulator_;
   std::optional<phy::PulseBank> oracle_;
   SimOptions opts_;
+  /// The payload-independent frame prefix (preamble, guards, training
+  /// fields) rendered once at unit gain up to the first payload event;
+  /// every packet splices it in after its start padding. Read-only after
+  /// construction, so concurrent run_packet() calls share it.
+  lcm::SynthPrefix frame_prefix_;
 };
 
 }  // namespace rt::sim

@@ -2,7 +2,10 @@
 // the tag array and the shift-register control chain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -291,6 +294,160 @@ TEST(TagArray, ValidatesConfigAndSchedule) {
                    std::vector<Firing>{{rt::ms(2.0), 0, 1, 1}, {rt::ms(1.0), 1, 1, 1}}, 40e3,
                    rt::ms(5.0), scratch, w),
                PreconditionError);
+}
+
+/// The tag layouts the fixed-point premises must hold for: one pixel per
+/// module, the 8 Kbps two-pixel layout, and the heterogeneous yawed layout
+/// the pixel-calibration experiments run.
+std::vector<TagConfig> premise_layouts() {
+  TagConfig one_pixel;
+  one_pixel.bits_per_axis = 1;
+  TagConfig two_pixel;
+  TagConfig heterogeneous;
+  heterogeneous.heterogeneity = {0.06, 0.0, 0.0};
+  heterogeneous.yaw_rad = rt::deg_to_rad(15.0);
+  heterogeneous.seed = 9;
+  return {one_pixel, two_pixel, heterogeneous};
+}
+
+bool bitwise_zero(const std::vector<double>& v) {
+  for (const double x : v)
+    if (std::signbit(x) || x != 0.0) return false;
+  return true;
+}
+
+bool bitwise_equal(sig::Complex a, sig::Complex b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(TagArray, ResetTagStaysAtZeroUnderZeroDrive) {
+  // Released at c = s = 0, one integration step of every pixel lands back
+  // on +0.0 exactly, so an idle tag never leaves the reset state. The
+  // one-sample renders below are plain kernel steps (a one-sample stretch
+  // has nothing to fill), so this checks the premise directly; the long
+  // renders check it through the fixed-point fill.
+  const double fs = 40e3;
+  for (const auto& cfg : premise_layouts()) {
+    TagArray tag(cfg);
+    SynthScratch scratch;
+    SynthPrefix step;
+    for (int i = 0; i < 300; ++i) {
+      tag.render_prefix({}, fs, 1, scratch, step);
+      ASSERT_TRUE(bitwise_zero(step.end.drive) && bitwise_zero(step.end.c) &&
+                  bitwise_zero(step.end.s))
+          << "sample " << i;
+    }
+    for (const std::size_t n : {1UL, 2UL, 20UL, 127UL, 128UL, 129UL, 1000UL, 80000UL}) {
+      tag.reset();
+      SynthPrefix run;
+      tag.render_prefix({}, fs, n, scratch, run);
+      EXPECT_TRUE(bitwise_zero(run.start.c) && bitwise_zero(run.start.s)) << n;
+      EXPECT_TRUE(bitwise_zero(run.end.drive) && bitwise_zero(run.end.c) &&
+                  bitwise_zero(run.end.s))
+          << n;
+    }
+  }
+}
+
+TEST(TagArray, IdleRenderRepeatsItsFirstSample) {
+  // An idle render of N samples is N copies of its first sample, and
+  // equals stepping the idle tag one sample at a time.
+  const double fs = 40e3;
+  const std::size_t n = 3000;
+  for (const auto& cfg : premise_layouts()) {
+    TagArray tag(cfg);
+    SynthScratch scratch;
+    sig::IqWaveform whole;
+    tag.synthesize_into({}, fs, static_cast<double>(n) / fs, scratch, whole);
+    ASSERT_EQ(whole.size(), n);
+    tag.reset();
+    sig::IqWaveform one;
+    for (std::size_t i = 0; i < n; ++i) {
+      tag.synthesize_into({}, fs, 1.0 / fs, scratch, one);
+      ASSERT_EQ(one.size(), 1U);
+      ASSERT_TRUE(bitwise_equal(whole[i], one[0])) << "sample " << i;
+      ASSERT_TRUE(bitwise_equal(whole[i], whole[0])) << "sample " << i;
+    }
+  }
+}
+
+TEST(TagArray, ProbedRenderMatchesSteppingThroughPulses) {
+  // Fired pixels charge and relax through long constant-drive stretches
+  // (the relaxation only reaches a bitwise fixed point seconds later, in
+  // denormals): every stretch's probe step plus the rest of its run must
+  // equal stepping each sample on its own.
+  const double fs = 40e3;
+  const std::vector<Firing> schedule = {{rt::ms(1.0), 0, 3, 3}, {rt::ms(1.5), 1, 1, 2}};
+  const std::size_t n = 2000;
+  for (const auto& cfg : premise_layouts()) {
+    TagArray tag(cfg);
+    SynthScratch scratch;
+    sig::IqWaveform whole;
+    const double dur = static_cast<double>(n) / fs;
+    auto clamped = schedule;
+    for (auto& f : clamped) {
+      f.level_i = std::min(f.level_i, cfg.levels_per_axis() - 1);
+      f.level_q = std::min(f.level_q, cfg.levels_per_axis() - 1);
+    }
+    tag.synthesize_into(clamped, fs, dur, scratch, whole);
+    // Reference: each sample its own one-sample render, events applied by
+    // splitting the schedule at the sample they land on.
+    tag.reset();
+    sig::IqWaveform one;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<Firing> now;
+      for (const auto& f : clamped) {
+        // A firing's set event, and its release (a level-0 set), land on
+        // local sample 0 of this one-sample render when they land on i.
+        if (static_cast<std::size_t>(std::llround(f.time_s * fs)) == i)
+          now.push_back({0.0, f.module, f.level_i, f.level_q});
+        if (static_cast<std::size_t>(std::llround((f.time_s + cfg.charge_s) * fs)) == i)
+          now.push_back({0.0, f.module, f.level_i < 0 ? -1 : 0, f.level_q < 0 ? -1 : 0});
+      }
+      tag.synthesize_into(now, fs, 1.0 / fs, scratch, one);
+      ASSERT_TRUE(bitwise_equal(whole[i], one[0])) << "sample " << i;
+    }
+  }
+}
+
+TEST(TagArray, SpliceToleratesReorderingOnlyAcrossDistinctLanes) {
+  // Two events on one sample: module 0's release and a new firing. The
+  // prefix applies them release-first; the packets nudge the new firing
+  // just before the release (same sample), which applies it first.
+  TagConfig cfg;
+  cfg.dsm_order = 2;
+  cfg.bits_per_axis = 1;
+  cfg.slot_s = rt::ms(0.5);
+  cfg.charge_s = rt::ms(0.5);
+  const double fs = 40e3;
+  const double nudge = 1e-9;  // far below half a sample
+  TagArray tag(cfg);
+  SynthScratch scratch;
+  const auto check = [&](int second_module, bool expect_splice) {
+    const std::vector<Firing> prefix_firings = {{0.0, 0, 1, -1},
+                                                {rt::ms(0.5), second_module, 1, -1}};
+    SynthPrefix prefix;
+    tag.reset();
+    tag.render_prefix(prefix_firings, fs, 60, scratch, prefix);
+    for (const double pad : {0.0, rt::ms(0.5)}) {
+      const std::vector<Firing> packet = {{pad, 0, 1, -1},
+                                          {pad + rt::ms(0.5) - nudge, second_module, 1, -1},
+                                          {pad + rt::ms(1.5), 1, 1, -1}};
+      sig::IqWaveform tried;
+      sig::IqWaveform full;
+      tag.reset();
+      EXPECT_EQ(tag.synthesize_into(packet, fs, rt::ms(4.0), scratch, tried, &prefix),
+                expect_splice);
+      tag.reset();
+      tag.synthesize_into(packet, fs, rt::ms(4.0), scratch, full);
+      ASSERT_EQ(tried.size(), full.size());
+      EXPECT_EQ(std::memcmp(tried.samples.data(), full.samples.data(),
+                            full.size() * sizeof(sig::Complex)),
+                0);
+    }
+  };
+  check(1, true);   // distinct lanes: either order gives one drive state
+  check(0, false);  // one lane: the order decides the drive, so render in full
 }
 
 TEST(ShiftRegister, ClockAndLatchSemantics) {
